@@ -26,9 +26,10 @@ from .errors import EdgeListError, QswError
 from .graph import google_matrix, pagerank, parse_edge_list
 from .lindblad import build_qsw, steady_state
 from .tilt import (
+    _observables,
     activity,
     active_limit_normalized_activity,
-    dispersion,
+    dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
     limit_generator,
     scan,
     ThermoPoint,
@@ -232,8 +233,8 @@ def _report_crossover(points) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     model = build_qsw(g, cfg.damping, cfg.coherent_weight)
-    act0 = activity(model, np.zeros(g.n), h=cfg.fd_step)
-    disp0, _global = dispersion(model, np.zeros(g.n), h=cfg.fd_step)
+    ref = _observables(model, np.zeros(g.n), cfg.fd_step, self_check=True)
+    act0, disp0 = ref.alpha, ref.delta
     if cfg.n_traj == 1:
         rec = simulate(model, None, cfg.t_max, cfg.dt, cfg.seed)
         with _open_output(cfg.output) as fp:

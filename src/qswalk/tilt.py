@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ZeroActivityError
+from .errors import ConvergenceError, QswError, ZeroActivityError
 from .lindblad import QswModel, Superoperator, liouvillian, recycling_superoperator, steady_state
 from .linalg import eig_general
 
@@ -296,9 +296,9 @@ def _observables(
 
 def _scan_worker(args) -> ThermoPoint:
     model, s, h, self_check = args
-    try:  # per-point failures are recorded, never abort the scan
+    try:  # numerical failures are recorded per point, never abort the scan
         return _observables(model, _as_tilt(model, s), h, self_check=self_check)
-    except Exception as exc:
+    except (QswError, ValueError, np.linalg.LinAlgError) as exc:
         return ThermoPoint(
             s=np.atleast_1d(np.asarray(s, dtype=float)).copy(), error=str(exc)
         )

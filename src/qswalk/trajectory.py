@@ -1,29 +1,13 @@
 """Quantum-jump Monte Carlo unraveling and the tilted-integration oracle.
 
-Between jumps a pure state evolves under the non-Hermitian effective
-Hamiltonian H_eff = H - (i/2) sum_k L_k^dag L_k, so its squared norm
-decays; a jump fires when the norm crosses a uniform random threshold
-(norm-decay waiting-time method), the jump operator is drawn with
-probability ||L_k psi||^2 / sum ||L_k' psi||^2, and the state is
-projected and renormalized.  Jumps into node i increment the count K_i.
-
-Implementation notes, all exact consequences of linearity:
-
-* One RK4 step of size dt for psi' = A psi (A = -i H_eff) equals the
-  degree-4 Taylor polynomial of exp(A dt) applied to psi, so stepping is
-  a matrix-vector product with a precomputed propagator.  Repeated
-  squaring yields propagators for 2^m steps, letting the waiting-time
-  search advance in blocks and binary-descend to the single bracketing
-  step when the threshold is crossed (norm decay is monotone, so a
-  crossing inside a block is visible at its end).
-* Within the bracketing step the squared norm of the degree-4 Taylor
-  state is a degree-8 polynomial in the substep time, assembled once
-  from the Gram matrix of the Taylor vectors; the required bisection to
-  1e-10 then runs on scalars.
-
-Randomness comes from counter-based Philox streams keyed by the seed,
-so trajectory idx of an ensemble (seed0 + idx) is reproducible on its
-own and independent of scheduling.
+A trajectory is a pure state that decays between jumps and is
+projected onto a node at each jump (the norm-decay waiting-time method,
+implemented by the batched engine in :mod:`qswalk.jumps`).  Jumps into
+node i increment the count K_i.  Ensembles run ``_BLOCK`` trajectories
+at a time as lanes of that engine; :func:`simulate` is the one-lane case.
+Randomness comes from counter-based Philox streams keyed by the seed, so
+trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
+its own, whatever the blocking or the number of worker processes.
 """
 
 from __future__ import annotations
@@ -34,18 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, NonDissipativeError
-from .lindblad import QswModel, effective_hamiltonian
+from .errors import DivergenceError
+from .jumps import JumpEngine, run_lanes
+from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
 from .tilt import tilted_superoperator
 
 DEFAULT_DT = 1e-3
-_BISECT_TOL = 1e-10  # waiting-time refinement, in time units
-_NORM_GROWTH_TOL = 1e-10  # relative tolerance on monotone norm decay
-
-# flat index pairs (k, l) with k + l = m for the degree-8 norm polynomial
-_ANTIDIAG = [[5 * k + (m - k) for k in range(max(0, m - 4), min(4, m) + 1)]
-             for m in range(9)]
+_BLOCK = 1024  # lanes advanced together; bounds the engine's memory
 
 
 @dataclass(frozen=True)
@@ -76,42 +56,23 @@ class EnsembleStats:
     dispersion_se: np.ndarray
 
 
-class _JumpEngine:
-    """Precomputed propagators and jump tables for one (model, dt) pair."""
-
-    def __init__(self, model: QswModel, dt: float, t_max: float):
-        n = model.n
-        self.n = n
-        self.dt = dt
-        a = -1j * effective_hamiltonian(model)
-        self.a = a
-        # block propagators for 1, 2, 4, ... RK4 steps
-        p = rk4_step_matrix(a, dt)
-        self.powers = [p]
-        while (1 << len(self.powers)) * dt <= min(0.5, t_max) and len(self.powers) < 15:
-            p = p @ p
-            self.powers.append(p)
-        # rows k of taylor_stack are A^k/k!; applied to psi they give the
-        # coefficients of the in-step Taylor polynomial
-        t = np.eye(n, dtype=complex)
-        rows = [t]
-        for k in range(1, 5):
-            t = rows[-1] @ (a / k)
-            rows.append(t)
-        self.taylor_stack = np.concatenate(rows, axis=0)  # (5n, n)
-        self.rates = model.jump_rate_matrix()
-        self.rates_flat = self.rates.ravel()
-
-    def norm_poly(self, psi: np.ndarray):
-        """Taylor coefficient vectors and the squared-norm polynomial."""
-        v = (self.taylor_stack @ psi).reshape(5, self.n)
-        gram = (v.conj() @ v.T).real.ravel()
-        coeffs = [float(gram[idx].sum()) for idx in _ANTIDIAG]
-        return v, coeffs
+def _initial_state(model: QswModel, psi0, t_max: float, dt: float) -> np.ndarray:
+    """Validated unit start state; the uniform superposition by default."""
+    if t_max <= 0 or dt <= 0:
+        raise ValueError("t_max and dt must be positive")
+    if psi0 is None:
+        return np.full(model.n, 1.0 / math.sqrt(model.n), dtype=complex)
+    psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.shape != (model.n,):
+        raise ValueError(f"psi0 must have shape ({model.n},)")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("psi0 must be normalized")
+    return psi
 
 
-def _uniform_state(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+def _check_seeds(first: int, last: int) -> None:
+    if not 0 <= first <= last < 1 << 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def simulate(
@@ -126,134 +87,26 @@ def simulate(
     ``psi0`` must be a unit vector (default: the uniform superposition).
     Deterministic inter-jump propagation uses the fixed-step 4th-order
     scheme with step ``dt``; jump times are refined to 1e-10 inside the
-    bracketing step.  A fixed seed reproduces the record bitwise.
+    bracketing step.  A fixed seed reproduces the record bitwise, and the
+    record equals that seed's lane in any ensemble.
     """
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if psi0 is None:
-        psi = _uniform_state(model.n)
-    else:
-        psi = np.asarray(psi0, dtype=complex).copy()
-        if psi.shape != (model.n,):
-            raise ValueError(f"psi0 must have shape ({model.n},)")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-            raise ValueError("psi0 must be normalized")
-
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    engine = _JumpEngine(model, dt, t_max)
-    n = model.n
-    counts = np.zeros(n, dtype=np.int64)
-    events = []
-    t_abs = 0.0
-
-    while True:
-        r = rng.random()  # norm^2 threshold for this waiting period
-        hit = _advance_to_crossing(engine, psi, r, t_max - t_abs)
-        if hit is None:
-            break  # reached t_max without another jump
-        t_wait, psi_at = hit
-        q = np.abs(psi_at) ** 2
-        w = engine.rates * q  # w[i, j]: rate of firing jump j -> i now
-        csum = np.cumsum(w.ravel())
-        u = rng.random() * csum[-1]
-        idx = min(int(np.searchsorted(csum, u, side="right")), n * n - 1)
-        if w.flat[idx] == 0.0:  # threshold landed on an empty bin edge
-            idx = int(np.argmax(w.ravel()))
-        dst, src = divmod(idx, n)
-        t_abs += t_wait
-        counts[dst] += 1
-        events.append((t_abs, dst, src))
-        psi = np.zeros(n, dtype=complex)
-        psi[dst] = psi_at[src] / abs(psi_at[src])  # projection keeps the phase
-
+    psi = _initial_state(model, psi0, t_max, dt)
+    _check_seeds(seed, seed)
+    engine = JumpEngine(model, dt, t_max)
+    counts, events = run_lanes(engine, psi, t_max, [seed], record=True)
     return TrajectoryRecord(
-        seed=seed, t_final=t_max, jump_events=tuple(events), counts=counts
+        seed=seed, t_final=t_max, jump_events=tuple(events[0]), counts=counts[0]
     )
 
 
-def _advance_to_crossing(engine: _JumpEngine, psi: np.ndarray, r: float, horizon: float):
-    """Evolve a unit state until its squared norm crosses ``r``.
-
-    Returns (elapsed time, unnormalized state at the crossing), or None
-    if the horizon is reached first.  The final partial step (shorter
-    than dt) uses a single RK4 step of the remaining size.
-    """
-    dt = engine.dt
-    powers = engine.powers
-    cur = psi
-    q_cur = 1.0
-    t_off = 0.0
-    while True:
-        rem = horizon - t_off
-        if rem <= 0:
-            return None
-        if rem < dt:
-            trial = rk4_step_matrix(engine.a, rem) @ cur
-            q_t = float(np.vdot(trial, trial).real)
-            _check_decay(q_t, q_cur)
-            if q_t >= r:
-                return None  # horizon reached inside the partial step
-            return _bisect_crossing(engine, cur, r, rem, t_off)
-        m = min(len(powers) - 1, int(math.log2(rem / dt)))
-        while (1 << m) * dt > rem:  # guard against log2 rounding
-            m -= 1
-        trial = powers[m] @ cur
-        q_t = float(np.vdot(trial, trial).real)
-        _check_decay(q_t, q_cur)
-        if q_t >= r:
-            cur = trial
-            q_cur = q_t
-            t_off += (1 << m) * dt
-            continue
-        # crossing inside this block: binary-descend to one dt step
-        while m > 0:
-            m -= 1
-            half = powers[m] @ cur
-            q_h = float(np.vdot(half, half).real)
-            _check_decay(q_h, q_cur)
-            if q_h >= r:
-                cur = half
-                q_cur = q_h
-                t_off += (1 << m) * dt
-        return _bisect_crossing(engine, cur, r, dt, t_off)
-
-
-def _check_decay(q_new: float, q_old: float):
-    if not q_new <= q_old * (1.0 + _NORM_GROWTH_TOL):
-        if math.isnan(q_new) or math.isinf(q_new):
-            raise DivergenceError("trajectory state left the finite range")
-        raise NonDissipativeError(
-            f"norm grew from {q_old:.6e} to {q_new:.6e} between jumps"
-        )
-
-
-def _bisect_crossing(engine: _JumpEngine, cur: np.ndarray, r: float, step: float, t_off: float):
-    """Refine the norm crossing inside [t_off, t_off + step]."""
-    v, c = engine.norm_poly(cur)
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = c
-    lo, hi = 0.0, step
-    while hi - lo > _BISECT_TOL:
-        x = 0.5 * (lo + hi)
-        p = ((((((((c8 * x + c7) * x + c6) * x + c5) * x + c4) * x + c3) * x
-              + c2) * x + c1) * x + c0)
-        if p >= r:
-            lo = x
-        else:
-            hi = x
-    tau = 0.5 * (lo + hi)
-    tau_powers = np.array([1.0, tau, tau * tau, tau ** 3, tau ** 4])
-    psi_at = tau_powers @ v
-    return t_off + tau, psi_at
-
-
 def _counts_block(args) -> np.ndarray:
+    """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
     model, psi0, t_max, dt, seeds = args
-    out = np.empty((len(seeds), model.n), dtype=np.int64)
-    for row, seed in enumerate(seeds):
-        out[row] = simulate(model, psi0, t_max, dt, seed).counts
-    return out
+    engine = JumpEngine(model, dt, t_max)
+    return np.concatenate([
+        run_lanes(engine, psi0, t_max, seeds[k:k + _BLOCK])[0]
+        for k in range(0, len(seeds), _BLOCK)
+    ])
 
 
 def ensemble_stats(
@@ -273,19 +126,21 @@ def ensemble_stats(
     """
     if n_traj < 2:
         raise ValueError("ensemble statistics need n_traj >= 2")
-    seeds = [seed0 + idx for idx in range(n_traj)]
+    _check_seeds(seed0, seed0 + n_traj - 1)
+    psi = _initial_state(model, psi0, t_max, dt)
+    seeds = range(seed0, seed0 + n_traj)
     if n_workers is not None and n_workers > 1:
         import concurrent.futures
 
         chunks = [
-            (model, psi0, t_max, dt, list(block))
-            for block in np.array_split(np.asarray(seeds, dtype=np.uint64), n_workers)
-            if len(block)
+            (model, psi, t_max, dt, seeds[part[0]:part[-1] + 1])
+            for part in np.array_split(np.arange(n_traj), n_workers)
+            if len(part)
         ]
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             counts = np.concatenate(list(pool.map(_counts_block, chunks)), axis=0)
     else:
-        counts = _counts_block((model, psi0, t_max, dt, seeds))
+        counts = _counts_block((model, psi, t_max, dt, seeds))
 
     k = counts.astype(float)
     mean_k = k.mean(axis=0)

@@ -5,6 +5,8 @@ outer products, dense kron sums, scipy.linalg.expm) so that agreement with
 the production code is evidence rather than tautology.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -108,3 +110,93 @@ def random_digraph(rng, n_max=8, ensure_edge=True):
     if ensure_edge and not edges and n > 1:
         edges.add((0, int(rng.integers(0, n))))
     return q.DirectedGraph(n=n, edges=frozenset(edges))
+
+
+def scalar_trajectory(model, t_max, dt, seed):
+    """Counts and events of one jump trajectory, one waiting period at a time.
+
+    A scalar sampler: complex states, dense matrix-vector products, an RK4
+    propagator built for the partial step at the horizon, a Gram-matrix
+    norm polynomial and a bisection on Python floats.  It draws from the
+    same keyed stream in the same order as :mod:`qswalk.jumps`, so the
+    batched engine must reproduce its counts seed by seed.
+    """
+    n = model.n
+    a = -1j * q.effective_hamiltonian(model)
+    powers = [q.rk4_step_matrix(a, dt)]
+    while (1 << len(powers)) * dt <= min(0.5, t_max) and len(powers) < 15:
+        powers.append(powers[-1] @ powers[-1])
+    taylor = [np.eye(n, dtype=complex)]
+    for k in range(1, 5):
+        taylor.append(taylor[-1] @ (a / k))
+    taylor = np.concatenate(taylor)
+    rates = model.jump_rate_matrix()
+
+    def norm2(v):
+        return float(np.vdot(v, v).real)
+
+    def bisect(cur, r, step, t_off):
+        v = (taylor @ cur).reshape(5, n)
+        gram = (v.conj() @ v.T).real
+        c = [
+            float(sum(gram[k, m - k] for k in range(max(0, m - 4), min(4, m) + 1)))
+            for m in range(9)
+        ]
+        lo, hi = 0.0, step
+        while hi - lo > 1e-10:
+            x = 0.5 * (lo + hi)
+            p = c[8]
+            for cm in c[7::-1]:
+                p = p * x + cm
+            if p >= r:
+                lo = x
+            else:
+                hi = x
+        tau = 0.5 * (lo + hi)
+        return t_off + tau, np.array([1.0, tau, tau * tau, tau ** 3, tau ** 4]) @ v
+
+    def advance(psi, r, horizon):
+        cur, t_off = psi, 0.0
+        while True:
+            rem = horizon - t_off
+            if rem <= 0:
+                return None
+            if rem < dt:
+                if norm2(q.rk4_step_matrix(a, rem) @ cur) >= r:
+                    return None
+                return bisect(cur, r, rem, t_off)
+            m = min(len(powers) - 1, int(math.log2(rem / dt)))
+            while (1 << m) * dt > rem:
+                m -= 1
+            trial = powers[m] @ cur
+            if norm2(trial) >= r:
+                cur, t_off = trial, t_off + (1 << m) * dt
+                continue
+            while m > 0:
+                m -= 1
+                half = powers[m] @ cur
+                if norm2(half) >= r:
+                    cur, t_off = half, t_off + (1 << m) * dt
+            return bisect(cur, r, dt, t_off)
+
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    psi = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    counts = np.zeros(n, dtype=np.int64)
+    events = []
+    t_abs = 0.0
+    while True:
+        hit = advance(psi, rng.random(), t_max - t_abs)
+        if hit is None:
+            return counts, events
+        t_wait, psi_at = hit
+        w = (rates * np.abs(psi_at) ** 2).ravel()
+        csum = np.cumsum(w)
+        idx = min(int(np.searchsorted(csum, rng.random() * csum[-1], side="right")), n * n - 1)
+        if w[idx] == 0.0:
+            idx = int(np.argmax(w))
+        dst, src = divmod(idx, n)
+        t_abs += t_wait
+        counts[dst] += 1
+        events.append((t_abs, dst, src))
+        psi = np.zeros(n, dtype=complex)
+        psi[dst] = psi_at[src] / abs(psi_at[src])

@@ -167,6 +167,23 @@ def test_simulate_ensemble_output(two_node_file, capsys):
         assert cells["z_dispersion"] != ""
 
 
+def test_simulate_reference_columns_equal_activity_and_dispersion(two_node_file, capsys):
+    assert main(
+        [
+            "simulate", "--input", two_node_file, "--t-max", "2", "--dt", "0.05",
+            "--n-traj", "2",
+        ]
+    ) == 0
+    rows = _rows(capsys.readouterr().out)
+    model = q.build_qsw(q.parse_edge_list("n 2\n0 1\n"))
+    alpha = q.activity(model, np.zeros(2))
+    delta, _ = q.dispersion(model, np.zeros(2))
+    for i, row in enumerate(rows[1:]):
+        cells = dict(zip(rows[0], row))
+        assert float(cells["activity0"]) == alpha[i]
+        assert float(cells["dispersion0"]) == delta[i]
+
+
 def test_simulate_is_reproducible(two_node_file, tmp_path):
     args = [
         "simulate", "--input", two_node_file, "--t-max", "5", "--dt", "0.05",
@@ -234,6 +251,18 @@ def test_bad_n_traj_exits_2(two_node_file):
     assert main(
         ["simulate", "--input", two_node_file, "--n-traj", "0"]
     ) == 2
+
+
+def test_seed_range_past_64_bits_exits_2(two_node_file, monkeypatch, capsys):
+    args = [
+        "simulate", "--input", two_node_file, "--t-max", "1", "--dt", "0.05",
+        "--n-traj", "2", "--seed", str((1 << 64) - 1),
+    ]
+    assert main(args) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    monkeypatch.setenv("QSWALK_WORKERS", "2")
+    assert main(args) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
 
 
 def test_degenerate_model_exits_3(tmp_path, capsys):

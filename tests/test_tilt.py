@@ -304,6 +304,25 @@ def test_scan_records_per_point_failure(two_node_model):
     assert points[2].error is None
 
 
+def test_scan_records_numerical_failure_as_error_cell(two_node_model, monkeypatch):
+    def fail(*args, **kwargs):
+        raise q.ConvergenceError("step-halving drift too large")
+
+    monkeypatch.setattr("qswalk.tilt._observables", fail)
+    (point,) = q.scan(two_node_model, [np.zeros(2)])
+    assert point.error == "step-halving drift too large"
+    assert point.theta is None
+
+
+def test_scan_raises_programming_errors(two_node_model, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("qswalk.tilt._observables", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        q.scan(two_node_model, [np.zeros(2)])
+
+
 def test_scan_parallel_matches_serial(two_node_model):
     grid = [q.uniform_tilt(two_node_model, v) for v in np.linspace(-0.4, 0.4, 5)]
     serial = q.scan(two_node_model, grid)

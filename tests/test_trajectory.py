@@ -3,7 +3,9 @@
 The sampler is validated against closed-form statistics (unit-rate
 Poisson process for the single-node walk), against the deterministic
 master equation (ensemble average of pure-state projectors vs evolve),
-and for bitwise reproducibility under its counter-based generator.
+against the one-trajectory-at-a-time engine in ``oracles`` (counts seed
+by seed), and for bitwise reproducibility under its counter-based
+generator, whatever block of lanes a trajectory runs in.
 """
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qswalk as q
-from qswalk.trajectory import _check_decay
-from oracles import reconstruct_state
+from qswalk import jumps, trajectory
+from qswalk.jumps import JumpEngine, check_decay, run_lanes, uniforms
+from qswalk.trajectory import _counts_block
+from oracles import reconstruct_state, scalar_trajectory
 
 
 # -- simulate: record contract and determinism --------------------------------
@@ -98,14 +102,95 @@ def test_unraveling_average_matches_master_equation(two_node_model):
 
 
 def test_check_decay_guards():
-    _check_decay(0.5, 1.0)  # decay is fine
-    _check_decay(1.0 + 1e-12, 1.0)  # roundoff growth is tolerated
+    check_decay(0.5, 1.0)  # decay is fine
+    check_decay(1.0 + 1e-12, 1.0)  # roundoff growth is tolerated
     with pytest.raises(q.NonDissipativeError):
-        _check_decay(1.1, 1.0)
+        check_decay(1.1, 1.0)
     with pytest.raises(q.DivergenceError):
-        _check_decay(float("nan"), 1.0)
+        check_decay(float("nan"), 1.0)
     with pytest.raises(q.DivergenceError):
-        _check_decay(float("inf"), 1.0)
+        check_decay(float("inf"), 1.0)
+
+
+# -- batched engine: lane independence and the scalar oracle -------------------
+
+
+def _lanes(model, seeds, t_max, dt):
+    engine = JumpEngine(model, dt, t_max)
+    psi = np.full(model.n, 1.0 / np.sqrt(model.n), dtype=complex)
+    return run_lanes(engine, psi, t_max, seeds, record=True)
+
+
+@pytest.mark.parametrize("seed", [0, 77, (1 << 64) - 1])
+def test_uniform_chunks_continue_one_stream(seed):
+    stream = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = np.random.Generator(np.random.Philox(key=1))
+    for chunk in range(3):
+        expected = [stream.random() for _ in range(jumps._DRAWS)]
+        assert np.array_equal(uniforms(gen, seed, chunk), expected)
+
+
+@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
+def test_lane_matches_simulate_whatever_the_block(graph, request):
+    model = request.getfixturevalue(graph)
+    seeds = list(range(300, 364))
+    one_block = _lanes(model, seeds, 15.0, 0.05)
+    # the same seeds reversed, in blocks of 5: other neighbours and positions
+    rev = seeds[::-1]
+    split = [_lanes(model, rev[k:k + 5], 15.0, 0.05) for k in range(0, len(rev), 5)]
+    split_counts = np.concatenate([c for c, _ in split])[::-1]
+    split_events = [e for _, ev in split for e in ev][::-1]
+    for k, seed in enumerate(seeds):
+        rec = q.simulate(model, t_max=15.0, dt=0.05, seed=seed)
+        assert rec.jump_events == tuple(one_block[1][k]) == tuple(split_events[k])
+        assert np.array_equal(rec.counts, one_block[0][k])
+        assert np.array_equal(rec.counts, split_counts[k])
+
+
+def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
+    args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, 0.05, range(40, 70))
+    whole = _counts_block(args)
+    monkeypatch.setattr(trajectory, "_BLOCK", 7)
+    assert np.array_equal(_counts_block(args), whole)
+
+
+@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
+def test_counts_match_scalar_oracle(graph, request):
+    model = request.getfixturevalue(graph)
+    seeds = range(1000, 1200)
+    psi = np.full(model.n, 1.0 / np.sqrt(model.n), dtype=complex)
+    counts = _counts_block((model, psi, 200.0, 0.05, seeds))
+    for row, seed in zip(counts, seeds):
+        assert np.array_equal(row, scalar_trajectory(model, 200.0, 0.05, seed)[0]), seed
+
+
+def test_partial_horizon_step_matches_scalar_oracle(two_node_model):
+    # t_max < dt: every waiting period is the single partial RK4 step at
+    # the horizon, so each jump was bisected inside that step and each
+    # trajectory ends on a partial step that stays above its threshold
+    seeds = list(range(64))
+    counts, events = _lanes(two_node_model, seeds, 0.3, 0.5)
+    assert counts.sum() > 0 and (counts.sum(axis=1) == 0).any()
+    for seed, row, ev in zip(seeds, counts, events):
+        ref_counts, ref_events = scalar_trajectory(two_node_model, 0.3, 0.5, seed)
+        assert np.array_equal(row, ref_counts)
+        assert_allclose([e[0] for e in ev], [e[0] for e in ref_events], atol=1e-9)
+        assert [e[1:] for e in ev] == [e[1:] for e in ref_events]
+
+
+def test_jump_choice_falls_back_from_an_empty_bin(two_node_model):
+    engine = JumpEngine(two_node_model, 0.05, 1.0)
+    # all amplitude on node 0, so every jump out of node 1 has weight 0;
+    # u = 1 lands the threshold on the last bin, 1 -> 1, which is empty
+    psi = np.array([[0.6], [0.0], [0.8], [0.0]])
+    w = (two_node_model.jump_rate_matrix() * np.array([1.0, 0.0])).ravel()
+    dst, src, new = engine.jump(psi, np.array([1.0]))
+    assert w[-1] == 0.0
+    assert divmod(int(np.argmax(w)), 2) == (dst[0], src[0])
+    assert src[0] == 0
+    expected = np.zeros(4)
+    expected[dst[0]], expected[2 + dst[0]] = 0.6, 0.8
+    assert np.array_equal(new[:, 0], expected)
 
 
 # -- ensemble_stats --------------------------------------------------------------
@@ -139,6 +224,18 @@ def test_ensemble_parallel_matches_serial(two_node_model):
     assert np.array_equal(serial.mean_rate, parallel.mean_rate)
     assert np.array_equal(serial.var_rate, parallel.var_rate)
     assert np.array_equal(serial.dispersion_hat, parallel.dispersion_hat)
+
+
+def test_ensemble_rejects_seed_range_past_64_bits(two_node_model):
+    last = (1 << 64) - 1
+    for workers in (None, 2):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            q.ensemble_stats(
+                two_node_model, t_max=1.0, dt=0.05, n_traj=2, seed0=last, n_workers=workers
+            )
+    # the top seed itself is valid
+    stats = q.ensemble_stats(two_node_model, t_max=1.0, dt=0.05, n_traj=2, seed0=last - 1)
+    assert stats.n_traj == 2
 
 
 def test_ensemble_requires_two_trajectories(two_node_model):
