@@ -18,6 +18,7 @@ from .errors import (
     EdgeListError,
     NonDissipativeError,
     QswError,
+    SizeBudgetError,
     ZeroActivityError,
 )
 from .graph import (
@@ -84,6 +85,7 @@ __all__ = [
     "NonDissipativeError",
     "QswError",
     "QswModel",
+    "SizeBudgetError",
     "SpectralResult",
     "ThermoPoint",
     "TiltedIntegration",

@@ -5,8 +5,9 @@ dynamical activity vs. steady-state populations), ``scan`` (uniform-tilt
 thermodynamic scan), ``simulate`` (jump Monte Carlo ensemble).  All
 outputs are CSV with a header row; ``--output -`` (the default) writes
 to stdout.  Exit codes: 0 success, 2 usage/input error, 3 numerical
-failure.  The environment variable ``QSWALK_WORKERS`` sets the process
-count for scans and ensembles (default: serial).
+failure or a model too large for the dense generator.  The environment
+variable ``QSWALK_WORKERS`` sets the process count for scans and
+ensembles (default: serial).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as qio
-from .errors import EdgeListError, QswError
+from .errors import EdgeListError, QswError, SizeBudgetError
 from .graph import google_matrix, pagerank, parse_edge_list
 from .lindblad import build_qsw, steady_state
 from .tilt import (
@@ -296,6 +297,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, EdgeListError) as exc:
         print(f"qswalk: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeBudgetError as exc:
+        print(f"qswalk: model too large: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except QswError as exc:
         print(f"qswalk: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -44,3 +44,9 @@ class NonDissipativeError(QswError):
 class ZeroActivityError(QswError):
     """A quantity normalized by the total activity was requested at a
     point where the total activity vanishes."""
+
+
+class SizeBudgetError(QswError):
+    """The model has more nodes than dense n^2 x n^2 superoperators are
+    built for (``lindblad.DENSE_NODE_LIMIT``); raised before anything of
+    that size is allocated."""

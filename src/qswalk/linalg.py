@@ -1,14 +1,22 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
 Conventions used project-wide:
 
 * Vectorization is column-stacking: ``vec(rho)[i + n*j] = rho[i, j]``,
   i.e. ``numpy`` order ``"F"``.  The normative identity is
   ``vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)``.
+* A superoperator that maps Hermitian matrices to Hermitian matrices is
+  a real matrix in an orthonormal basis of Hermitian matrices
+  (:func:`to_hermitian_basis`).  That basis keeps ``rho_ii`` on index
+  ``i*(n+1)`` and puts ``(rho_kl + rho_lk)/sqrt(2)`` on ``k + n*l`` and
+  ``i(rho_kl - rho_lk)/sqrt(2)`` on ``l + n*k`` for ``k < l``.  It is a
+  unitary change of basis, so the spectrum is unchanged.
 * "Leading eigenvalue" means the one of maximum real part; near-ties in
   the real part (within 1e-10) are broken toward the smallest
   ``|imag|``, because the physically meaningful branch of a cumulant
   generating function is real.
+* :func:`eig_general` keeps real input real: a real matrix goes to
+  LAPACK's real driver (``dgeev``), a complex one to ``zgeev``.
 
 Everything here is dense and targets superoperators up to about
 1024 x 1024 (32 graph nodes).
@@ -71,6 +79,12 @@ def unvec(v: np.ndarray) -> ComplexMatrix:
     return v.reshape((n, n), order="F")
 
 
+def _real_or_complex(m) -> np.ndarray:
+    """``m`` as float64 if it is real, else as complex128."""
+    m = np.asarray(m)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
 def eig_general(m: ComplexMatrix) -> SpectralResult:
     """Eigendecompose a general (non-Hermitian) square matrix.
 
@@ -82,9 +96,11 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     ``||Mv - lambda v||_2 <= 1e-8 * ||M||_F``.
 
     Backed by LAPACK's Hessenberg + shifted-QR driver via
-    ``numpy.linalg.eig``.
+    ``numpy.linalg.eig``.  Real input stays real and goes to the real
+    driver (``dgeev``), whose complex eigenvalues come in exact
+    conjugate pairs; only complex input is solved in complex arithmetic.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _real_or_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -123,14 +139,59 @@ def _select_leading(values: np.ndarray) -> int:
     return int(pos[0]) if pos.size else int(best[0])
 
 
+def _hermitian_pairs(size: int):
+    """Index pairs (k + n*l, l + n*k), k < l, mixed by the Hermitian basis."""
+    n = math.isqrt(size)
+    if n * n != size:
+        raise ValueError(f"dimension {size} is not a perfect square")
+    k, l = np.triu_indices(n, 1)
+    return k + n * l, l + n * k
+
+
+def to_hermitian_basis(m: ComplexMatrix) -> np.ndarray:
+    """Real matrix ``U M U^dag`` of a Hermiticity-preserving superoperator.
+
+    ``U`` takes column-stacked states to the orthonormal Hermitian basis
+    of the module conventions.  It mixes only the index pairs
+    (k + n*l, l + n*k), k < l, so it is applied as two row and two column
+    combinations; populations are left where they are.  Raises
+    ``ValueError`` if ``M`` does not map Hermitian matrices to Hermitian
+    ones (the result would not be real).
+    """
+    x = np.array(m, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    p, q = _hermitian_pairs(x.shape[0])
+    r = math.sqrt(0.5)
+    a, b = x[p], x[q]
+    x[p], x[q] = (a + b) * r, (a - b) * (1j * r)
+    a, b = x[:, p], x[:, q]
+    x[:, p], x[:, q] = (a + b) * r, (a - b) * (-1j * r)
+    if np.abs(x.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(x.real).max()):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    return np.ascontiguousarray(x.real)
+
+
+def from_hermitian_basis(x: np.ndarray) -> np.ndarray:
+    """``vec(rho)`` of the matrix whose Hermitian-basis coordinates are
+    ``x`` (``U^dag x``); real ``x`` gives a Hermitian ``rho``."""
+    v = np.array(x, dtype=complex)
+    p, q = _hermitian_pairs(v.size)
+    r = math.sqrt(0.5)
+    a, b = v[p], v[q]
+    v[p], v[q] = (a - 1j * b) * r, (a + 1j * b) * r
+    return v
+
+
 def null_vector(m: ComplexMatrix, tol: float = 1e-9) -> np.ndarray:
     """Unit vector spanning the (simple) kernel of ``m``.
 
     The eigenvalue nearest zero must be the only one within
     ``tol * max(1, ||M||_F)``; otherwise a :class:`DegeneracyError` is
-    raised, which downstream signals non-relaxing dynamics.
+    raised, which downstream signals non-relaxing dynamics.  As in
+    :func:`eig_general`, real input stays real.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _real_or_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if tol <= 0:

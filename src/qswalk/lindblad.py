@@ -17,18 +17,32 @@ collapse: the recycling part scatters the rate matrix onto the
 population block, and sum_k L_k^dag L_k is the diagonal matrix of
 column sums of the rates (the identity whenever the rate matrix is
 column-stochastic).
+
+Each model also carries the same generator as a real matrix in the
+orthonormal Hermitian basis (``QswModel.hermitian_generator``), built at
+first use and cached; the populations keep their indices i*(n+1) there,
+so :func:`tilt_recycling` reweights jumps in either form.  Models above
+``DENSE_NODE_LIMIT`` nodes are refused before any superoperator is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DegeneracyError
+from .errors import ConvergenceError, DegeneracyError, SizeBudgetError
 from .graph import DEFAULT_DAMPING, DirectedGraph, google_matrix, symmetrized_adjacency
-from .linalg import integrate_linear, null_vector, unvec, vec
+from .linalg import (
+    from_hermitian_basis,
+    integrate_linear,
+    null_vector,
+    to_hermitian_basis,
+    unvec,
+    vec,
+)
 
 # Aliases in the spirit of linalg.ComplexMatrix: a DensityMatrix is an
 # n x n complex ndarray (Hermitian, unit trace), a Superoperator an
@@ -37,6 +51,10 @@ DensityMatrix = np.ndarray
 Superoperator = np.ndarray
 
 _STEADY_RESIDUAL_TOL = 1e-8
+
+# Largest model whose dense n^2 x n^2 superoperators are assembled: at 64
+# nodes one complex generator takes 256 MiB.
+DENSE_NODE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,24 @@ class QswModel:
     @property
     def n_jumps(self) -> int:
         return len(self.jumps)
+
+    @cached_property
+    def jump_table(self) -> tuple:
+        """``jumps`` as arrays: (destinations, sources, amplitudes)."""
+        dest, src, amp = zip(*self.jumps)
+        return np.array(dest), np.array(src), np.array(amp, dtype=float)
+
+    @cached_property
+    def hermitian_generator(self) -> np.ndarray:
+        """The Liouvillian in the orthonormal Hermitian basis: a real,
+        read-only n^2 x n^2 matrix, built once at first use."""
+        w = to_hermitian_basis(liouvillian(self))
+        w.flags.writeable = False
+        return w
+
+    def __getstate__(self):
+        # the cached generator is rebuilt on demand, not shipped to workers
+        return {k: v for k, v in self.__dict__.items() if k != "hermitian_generator"}
 
     def jump_rate_matrix(self) -> np.ndarray:
         """Rate matrix R with R[i, j] = amplitude(i, j)^2 (column-stochastic)."""
@@ -125,6 +161,34 @@ def effective_hamiltonian(model: QswModel) -> np.ndarray:
     return model.hamiltonian - 0.5j * np.diag(dissipator_diagonal(model))
 
 
+def check_dense_budget(n: int) -> None:
+    """Raise :class:`SizeBudgetError` for models above ``DENSE_NODE_LIMIT``
+    nodes, before any n^2 x n^2 matrix is allocated."""
+    if n > DENSE_NODE_LIMIT:
+        raise SizeBudgetError(
+            f"a {n}-node model needs a dense {n * n} x {n * n} generator "
+            f"({16 * n**4 / 2**30:.1f} GiB); dense superoperators are limited "
+            f"to {DENSE_NODE_LIMIT} nodes"
+        )
+
+
+def tilt_recycling(w: np.ndarray, model: QswModel, factors: np.ndarray) -> np.ndarray:
+    """Reweight the recycling terms of generator ``w`` in place; returns ``w``.
+
+    Jump k (the k-th entry of ``model.jumps``, j -> i) has its term at
+    (i*(n+1), j*(n+1)) scaled by ``factors[k]``, i.e. that entry gains
+    (factors[k] - 1) * R_ij.  The populations sit on those indices both
+    over column-stacked states and in the Hermitian basis, so ``w`` may be
+    either form.  Entries whose factor is exactly 1 are left untouched.
+    """
+    dest, src, amp = model.jump_table
+    keep = factors != 1.0
+    pop = np.arange(model.n) * (model.n + 1)
+    gain = (factors[keep] - 1.0) * amp[keep] * amp[keep]
+    np.add.at(w, (pop[dest[keep]], pop[src[keep]]), gain)
+    return w
+
+
 def recycling_superoperator(model: QswModel, nodes=None) -> Superoperator:
     """Matrix of rho -> sum L_ij rho L_ij^dag over jumps landing on ``nodes``.
 
@@ -133,6 +197,7 @@ def recycling_superoperator(model: QswModel, nodes=None) -> Superoperator:
     writes populations.  ``nodes=None`` includes every destination.
     """
     n = model.n
+    check_dense_budget(n)
     keep = set(range(n) if nodes is None else nodes)
     r = np.zeros((n * n, n * n), dtype=complex)
     diag = np.arange(n) * (n + 1)
@@ -150,6 +215,7 @@ def liouvillian(model: QswModel) -> Superoperator:
     dissipator diagonal, cancelling the anticommutator).
     """
     n = model.n
+    check_dense_budget(n)
     h = model.hamiltonian
     eye = np.eye(n)
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
@@ -162,26 +228,26 @@ def liouvillian(model: QswModel) -> Superoperator:
 def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
     """Unique stationary density matrix of the walk.
 
-    Computed as the kernel vector of the Liouvillian, trace-normalized
-    and hermitized.  Degenerate kernels (non-relaxing dynamics, only
-    possible without damping) surface as :class:`DegeneracyError`.
+    Computed as the kernel vector of the real Hermitian-basis generator,
+    trace-normalized (the populations are its coordinates i*(n+1)) and
+    mapped back to a complex density matrix, Hermitian by construction.
+    Degenerate kernels (non-relaxing dynamics, only possible without
+    damping) surface as :class:`DegeneracyError`.
     """
-    lmat = liouvillian(model)
-    v = null_vector(lmat, tol=tol)
-    x = unvec(v)
-    tr = np.trace(x)
+    w = model.hermitian_generator
+    x = null_vector(w, tol=tol).real  # a simple zero eigenvalue of a real matrix is real
+    tr = x[:: model.n + 1].sum()
     if abs(tr) < 1e-6:
         raise DegeneracyError(
             "kernel vector is nearly traceless; no normalizable steady state"
         )
-    rho = x / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = np.linalg.norm(lmat @ vec(rho))
+    x = x / tr
+    residual = np.linalg.norm(w @ x)  # U is unitary: equals ||L vec(rho)||
     if residual > _STEADY_RESIDUAL_TOL:
         raise ConvergenceError(
             f"steady-state residual {residual:.3e} exceeds {_STEADY_RESIDUAL_TOL:g}"
         )
-    return rho
+    return unvec(from_hermitian_basis(x))
 
 
 def evolve(model: QswModel, rho0: DensityMatrix, t: float, dt: float = 1e-3) -> DensityMatrix:

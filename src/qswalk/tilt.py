@@ -8,11 +8,16 @@ exp(-s_i), giving the tilted generator
     W_s = L + sum_i (exp(-s_i) - 1) sum_j conj(L_ij) (x) L_ij.
 
 The largest real part of its spectrum is the dynamical free energy
-(scaled cumulant generating function) of the count vector.  First and
-second partial derivatives in s yield the per-node activity and index
-of dispersion; both are taken by central finite differences with a
-step-halving self-check, since the generator has no closed-form
-derivative here.
+(scaled cumulant generating function) of the count vector.  W_s maps
+Hermitian matrices to Hermitian matrices, so :func:`free_energy` solves
+it as a real matrix in the orthonormal Hermitian basis: it copies the
+model's cached real Liouvillian, reweights the population-block
+recycling entries, and makes one real eigensolve (LAPACK ``dgeev``).
+:func:`tilted_superoperator` still returns the complex generator over
+column-stacked states.  First and second partial derivatives in s
+yield the per-node activity and index of dispersion; both are taken by
+central finite differences with a step-halving self-check, since the
+generator has no closed-form derivative here.
 
 Extreme tilts are handled structurally rather than by exponentiating
 huge arguments: the fully inactive limit (all s_i -> +infinity) drops
@@ -29,7 +34,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, QswError, ZeroActivityError
-from .lindblad import QswModel, Superoperator, liouvillian, recycling_superoperator, steady_state
+from .lindblad import (
+    QswModel,
+    Superoperator,
+    liouvillian,
+    recycling_superoperator,
+    steady_state,
+    tilt_recycling,
+)
 from .linalg import eig_general
 
 # Conjugate fields, one per node; plain 1-d float ndarray.
@@ -96,15 +108,9 @@ def tilted_superoperator(
     for i in inactive:
         if not 0 <= i < model.n:
             raise ValueError(f"inactive node {i} out of range")
-    w = liouvillian(model)
-    n = model.n
-    diag = np.arange(n) * (n + 1)
     factors = np.exp(-s)
-    for (i, j, amp) in model.jumps:
-        f = 0.0 if i in inactive else factors[i]
-        if f != 1.0:
-            w[diag[i], diag[j]] += (f - 1.0) * amp * amp
-    return w
+    factors[list(inactive)] = 0.0
+    return tilt_recycling(liouvillian(model), model, factors[model.jump_table[0]])
 
 
 def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
@@ -116,13 +122,8 @@ def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
         raise ValueError(f"s_matrix must be {model.n} x {model.n}")
     if not np.all(np.isfinite(s_matrix)) or np.any(-s_matrix > _EXP_ARG_LIMIT):
         raise ValueError("per-jump tilts must be finite and exp-representable")
-    w = liouvillian(model)
-    diag = np.arange(model.n) * (model.n + 1)
-    for (i, j, amp) in model.jumps:
-        f = np.exp(-s_matrix[i, j])
-        if f != 1.0:
-            w[diag[i], diag[j]] += (f - 1.0) * amp * amp
-    return w
+    dest, src, _amp = model.jump_table
+    return tilt_recycling(liouvillian(model), model, np.exp(-s_matrix[dest, src]))
 
 
 def limit_generator(model: QswModel, mode: str) -> Superoperator:
@@ -145,10 +146,12 @@ def free_energy(model: QswModel, s) -> float:
     """Dynamical free energy: largest real part of the spectrum of W_s.
 
     Zero at s = 0 (stationarity), non-increasing and convex in each
-    coordinate.
+    coordinate.  Solved as the real Hermitian-basis form of W_s, whose
+    spectrum is that of :func:`tilted_superoperator`.
     """
     s = _as_tilt(model, s)
-    return eig_general(tilted_superoperator(model, s)).leading_eigenvalue.real
+    w = tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[model.jump_table[0]])
+    return eig_general(w).leading_eigenvalue.real
 
 
 def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
@@ -197,20 +200,7 @@ def activity(
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    s = _as_tilt(model, s)
-    _t0, tp, tm = _stencil(model, s, h)
-    alpha = -(tp - tm) / (2.0 * h)
-    if self_check:
-        _t0, tp2, tm2 = _stencil(model, s, 0.5 * h)
-        alpha_half = -(tp2 - tm2) / h
-        drift = np.abs(alpha - alpha_half).max()
-        if drift > check_tol:
-            raise ConvergenceError(
-                f"activity step-halving drift {drift:.3e} exceeds {check_tol:g}; "
-                f"h={h:g} is unreliable here"
-            )
-        alpha = alpha_half  # the finer estimate
-    return alpha
+    return _observables(model, _as_tilt(model, s), h, self_check, check_tol).alpha
 
 
 def activity_from_steady_state(model: QswModel) -> np.ndarray:

@@ -44,6 +44,31 @@ def generic_tilted(model, s):
     return out
 
 
+def hermitian_basis_unitary(n):
+    """Dense unitary U whose row b is vec(E_b)^dag for the orthonormal
+    Hermitian basis E_b, so that U @ vec(rho) lists <E_b, rho>.
+
+    Row i*(n+1) holds E = |i><i|; for k < l, row k + n*l holds
+    (|k><l| + |l><k|)/sqrt(2) and row l + n*k holds
+    (-i|k><l| + i|l><k|)/sqrt(2).
+    """
+    u = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        u[i * (n + 1)] = q.vec(e).conj()
+    for k in range(n):
+        for l in range(k + 1, n):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[k, l] = sym[l, k] = 1.0 / math.sqrt(2.0)
+            anti = np.zeros((n, n), dtype=complex)
+            anti[k, l] = -1j / math.sqrt(2.0)
+            anti[l, k] = 1j / math.sqrt(2.0)
+            u[k + n * l] = q.vec(sym).conj()
+            u[l + n * k] = q.vec(anti).conj()
+    return u
+
+
 def classical_tilted_matrix(g, s, damping=0.85):
     """n x n tilted rate matrix diag(exp(-s)) @ G - I for the classical chain.
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,23 @@ def test_bad_scan_grid_exits_2(two_node_file):
         ["scan", "--input", two_node_file, "--s-min", "1", "--s-max", "-1"]
     ) == 2
     assert main(["scan", "--input", two_node_file, "--s-steps", "0"]) == 2
+
+
+def test_model_over_dense_budget_exits_3(tmp_path, capsys):
+    # 200 nodes would need a 40000 x 40000 complex generator (about 24 GiB)
+    big = tmp_path / "big.edges"
+    big.write_text("n 200\n0 1\n1 2\n")
+    tracemalloc.start()
+    try:
+        assert main(["ranks", "--input", str(big)]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qswalk: model too large: a 200-node model" in captured.err
+    assert "limited to 64 nodes" in captured.err
+    assert peak < 100 << 20  # no allocation anywhere near the generator's size
 
 
 def test_bad_n_traj_exits_2(two_node_file):

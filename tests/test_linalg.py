@@ -117,6 +117,29 @@ def test_eig_tie_break_prefers_smaller_imaginary_magnitude():
     assert_allclose(q.eig_general(m).leading_eigenvalue, 1.0, atol=1e-12)
 
 
+def test_eig_real_input_matches_complex_input(rng, monkeypatch):
+    solved = []
+    real_eig = np.linalg.eig
+
+    def spy(m):
+        solved.append(m.dtype)
+        return real_eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    for size in (2, 5, 9):
+        m = rng.normal(size=(size, size))
+        real = q.eig_general(m)
+        cplx = q.eig_general(m.astype(complex))
+        assert solved[-2:] == [np.dtype(float), np.dtype(complex)]
+        assert_allclose(real.leading_eigenvalue, cplx.leading_eigenvalue, atol=1e-12)
+        gaps = np.abs(real.full_spectrum[:, None] - cplx.full_spectrum[None, :])
+        assert gaps.min(axis=0).max() <= 1e-12 and gaps.min(axis=1).max() <= 1e-12
+        # same eigenvector up to a unit phase
+        v, w = real.leading_right_eigenvector, cplx.leading_right_eigenvector
+        assert_allclose(abs(np.vdot(v, w)), 1.0, atol=1e-10)
+    assert q.eig_general(np.diag([1, 3, 2])).leading_eigenvalue == 3.0  # ints go real
+
+
 # -- null_vector -----------------------------------------------------------
 
 

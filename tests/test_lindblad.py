@@ -6,12 +6,23 @@ and random graphs; steady-state values for the two-node chain are the
 hand-solved fractions 100/217, 117/217, -17i/217.
 """
 
+import math
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import qswalk as q
-from oracles import expm_propagate, generic_liouvillian, random_digraph
+from qswalk.lindblad import DENSE_NODE_LIMIT, check_dense_budget
+from qswalk.linalg import from_hermitian_basis, to_hermitian_basis
+from oracles import (
+    expm_propagate,
+    generic_liouvillian,
+    hermitian_basis_unitary,
+    random_digraph,
+)
 
 
 # -- build_qsw -------------------------------------------------------------
@@ -216,3 +227,103 @@ def test_evolve_validates_input(two_node_model):
         q.evolve(two_node_model, np.array([[0.5, 0.4], [0.1, 0.5]]), t=1.0)
     with pytest.raises(ValueError):
         q.evolve(two_node_model, 2.0 * np.eye(2, dtype=complex), t=1.0)
+
+
+# -- Hermitian-basis generator and size budget -------------------------------
+
+
+def test_hermitian_generator_is_unitary_change_of_basis(two_node_model, six_node_model, rng):
+    models = [two_node_model, six_node_model]
+    models.append(q.build_qsw(random_digraph(rng, n_max=5), coherent_weight=0.7))
+    for model in models:
+        u = hermitian_basis_unitary(model.n)
+        assert_allclose(u @ u.conj().T, np.eye(model.n**2), atol=1e-14)
+        expected = u @ generic_liouvillian(model) @ u.conj().T
+        assert_allclose(expected.imag, 0.0, atol=1e-13)
+        w = model.hermitian_generator
+        assert w.dtype == np.float64
+        assert_allclose(w, expected.real, atol=1e-13)
+
+
+def test_hermitian_generator_keeps_populations_in_place(six_node_model):
+    pop = np.arange(6) * 7
+    block = np.ix_(pop, pop)
+    assert np.array_equal(
+        six_node_model.hermitian_generator[block], q.liouvillian(six_node_model)[block].real
+    )
+
+
+def test_hermitian_generator_is_cached_and_read_only(two_node_graph):
+    model = q.build_qsw(two_node_graph)
+    assert "hermitian_generator" not in vars(model)  # built lazily
+    w = model.hermitian_generator
+    assert model.hermitian_generator is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+
+
+def test_pickled_model_drops_the_cached_generator(two_node_graph):
+    model = q.build_qsw(two_node_graph)
+    w = model.hermitian_generator
+    clone = pickle.loads(pickle.dumps(model))
+    assert "hermitian_generator" not in vars(clone)
+    assert np.array_equal(clone.hermitian_generator, w)
+
+
+def test_steady_state_is_solved_real_and_exactly_hermitian(six_node_graph, monkeypatch):
+    model = q.build_qsw(six_node_graph)
+    solved = []
+    real_eig = np.linalg.eig
+
+    def spy(m):
+        solved.append(m.dtype)
+        return real_eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    rho = q.steady_state(model)
+    assert solved == [np.dtype(float)]
+    assert rho.dtype == complex
+    assert np.array_equal(rho, rho.conj().T)
+    assert_allclose(np.trace(rho), 1.0, atol=1e-14)
+    assert_allclose(q.liouvillian(model) @ q.vec(rho), 0.0, atol=1e-10)
+
+
+def test_from_hermitian_basis_inverts_the_change_of_basis(rng):
+    u = hermitian_basis_unitary(4)
+    x = rng.normal(size=16)
+    v = from_hermitian_basis(x)
+    assert_allclose(v, u.conj().T @ x, atol=1e-15)
+    rho = q.unvec(v)
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_to_hermitian_basis_rejects_non_hermiticity_preserving(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    with pytest.raises(ValueError, match="Hermiticity"):
+        to_hermitian_basis(m)
+    with pytest.raises(ValueError, match="perfect square"):
+        to_hermitian_basis(np.eye(3))
+
+
+def _complete_model(n):
+    # no Google matrix needed: every node jumps uniformly to every node
+    amp = 1.0 / math.sqrt(n)
+    jumps = tuple((i, j, amp) for i in range(n) for j in range(n))
+    return q.QswModel(n=n, hamiltonian=np.zeros((n, n)), jumps=jumps)
+
+
+def test_dense_size_budget_refuses_before_allocating():
+    model = _complete_model(DENSE_NODE_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        for build in (q.liouvillian, q.recycling_superoperator, q.steady_state):
+            with pytest.raises(q.SizeBudgetError, match="limited to 64 nodes"):
+                build(model)
+        with pytest.raises(q.SizeBudgetError):
+            model.hermitian_generator
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    check_dense_budget(DENSE_NODE_LIMIT)  # the limit itself is allowed

@@ -10,9 +10,12 @@ generators have closed-form leading behavior.
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 import qswalk as q
+from qswalk.lindblad import tilt_recycling
 from oracles import (
     classical_tilted_matrix,
     generic_tilted,
@@ -344,3 +347,79 @@ def test_thermo_point_is_frozen(two_node_model):
     point = q.scan(two_node_model, [np.zeros(2)])[0]
     with pytest.raises(Exception):
         point.theta = 1.0
+
+
+# -- real Hermitian-basis eigensolve -------------------------------------------
+
+
+def _real_tilted(model, s):
+    w = model.hermitian_generator.copy()
+    return tilt_recycling(w, model, np.exp(-np.asarray(s))[model.jump_table[0]])
+
+
+def _eight_node_model():
+    rng = np.random.default_rng(8)
+    mask = rng.random((8, 8)) < 0.35
+    edges = frozenset((u, v) for u in range(8) for v in range(8) if mask[u, v])
+    return q.build_qsw(q.DirectedGraph(n=8, edges=edges), coherent_weight=1.3)
+
+
+def test_real_and_complex_tilted_spectra_pair_up(two_node_model, six_node_model):
+    for model in (two_node_model, six_node_model, _eight_node_model()):
+        s = np.linspace(-0.9, 1.3, model.n) ** 3  # non-uniform
+        real = scipy.linalg.eigvals(_real_tilted(model, s))
+        cplx = scipy.linalg.eigvals(q.tilted_superoperator(model, s))
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(real[:, None] - cplx[None, :]))
+        assert np.abs(real[rows] - cplx[cols]).max() <= 1e-10
+
+
+def test_free_energy_equals_complex_eigensolve(two_node_model, six_node_model):
+    for model in (two_node_model, six_node_model, _eight_node_model()):
+        for sigma in np.linspace(-2.5, 2.5, 11):
+            s = sigma + 0.3 * np.sin(np.arange(model.n))
+            expected = q.eig_general(q.tilted_superoperator(model, s)).leading_eigenvalue.real
+            assert abs(q.free_energy(model, s) - expected) <= 1e-12
+
+
+def test_free_energy_is_repeatable_and_leaves_the_cache_alone(six_node_graph):
+    model = q.build_qsw(six_node_graph)
+    s = np.linspace(-0.4, 0.6, 6)
+    first = q.free_energy(model, s)
+    base = model.hermitian_generator
+    snapshot = base.copy()
+    for sigma in (-3.0, 0.0, 2.0):
+        q.free_energy(model, q.uniform_tilt(model, sigma))
+    assert q.free_energy(model, s) == first
+    assert model.hermitian_generator is base
+    assert np.array_equal(base, snapshot)
+
+
+def test_free_energy_makes_one_real_eigensolve(six_node_model, monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m.dtype)
+        return q.eig_general(m)
+
+    monkeypatch.setattr("qswalk.tilt.eig_general", spy)
+    q.free_energy(six_node_model, np.linspace(-1.0, 1.0, 6))
+    assert calls == [np.dtype(float)]
+
+
+def test_activity_is_the_observables_alpha(six_node_model):
+    s = np.linspace(-0.5, 0.5, 6)
+    point = q.tilt._observables(six_node_model, s, 1e-4, self_check=True)
+    assert np.array_equal(q.activity(six_node_model, s), point.alpha)
+
+
+def test_scan_pooled_matches_serial_with_cached_generator(six_node_graph):
+    model = q.build_qsw(six_node_graph)
+    q.free_energy(model, np.zeros(6))  # populate the cache before pickling
+    grid = [np.linspace(-0.5, 0.5, 6) + v for v in (-1.0, 0.0, 0.8, 2.0)]
+    serial = q.scan(model, grid, self_check=True)
+    pooled = q.scan(model, grid, self_check=True, n_workers=2)
+    for a, b in zip(serial, pooled):
+        assert a.error is None and b.error is None
+        assert a.theta == b.theta
+        assert np.array_equal(a.alpha, b.alpha)
+        assert a.delta == b.delta
