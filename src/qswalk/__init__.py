@@ -16,7 +16,6 @@ from .errors import (
     DegeneracyError,
     DivergenceError,
     EdgeListError,
-    NonDissipativeError,
     QswError,
     SizeBudgetError,
     ZeroActivityError,
@@ -42,7 +41,6 @@ from .linalg import (
     SpectralResult,
     eig_general,
     integrate_linear,
-    kron,
     null_vector,
     rk4_step_matrix,
     unvec,
@@ -68,7 +66,6 @@ from .trajectory import (
     TrajectoryRecord,
     ensemble_stats,
     free_energy_by_integration,
-    sample_steady_state_vector,
     simulate,
 )
 
@@ -82,7 +79,6 @@ __all__ = [
     "DivergenceError",
     "EdgeListError",
     "EnsembleStats",
-    "NonDissipativeError",
     "QswError",
     "QswModel",
     "SizeBudgetError",
@@ -105,7 +101,6 @@ __all__ = [
     "free_energy_by_integration",
     "google_matrix",
     "integrate_linear",
-    "kron",
     "limit_generator",
     "liouvillian",
     "normalized_activity",
@@ -114,7 +109,6 @@ __all__ = [
     "parse_edge_list",
     "recycling_superoperator",
     "rk4_step_matrix",
-    "sample_steady_state_vector",
     "scan",
     "simulate",
     "steady_state",

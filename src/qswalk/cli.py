@@ -83,6 +83,7 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # defaults live in RunConfig; an option left out stays off the namespace
     parser = argparse.ArgumentParser(
         prog="qswalk",
         description="Dissipative quantum walks on directed graphs: "
@@ -90,54 +91,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--input", required=True, help="edge-list file")
-        p.add_argument("--output", default="-", help="output CSV path ('-' = stdout)")
-        p.add_argument("--damping", type=float, default=0.85)
+        p.add_argument("--output", help="output CSV path ('-' = stdout)")
+        p.add_argument("--damping", type=float)
+        return p
 
-    p_page = sub.add_parser("pagerank", help="classical pagerank scores")
-    common(p_page)
+    command("pagerank", "classical pagerank scores")
 
-    p_ranks = sub.add_parser(
-        "ranks", help="pagerank vs. activity at s=0 vs. steady-state populations"
-    )
-    common(p_ranks)
-    p_ranks.add_argument("--coherent-weight", type=float, default=1.0)
-    p_ranks.add_argument("--fd-step", type=float, default=1e-4)
+    p_ranks = command("ranks", "pagerank vs. activity at s=0 vs. steady-state populations")
+    p_ranks.add_argument("--coherent-weight", type=float)
+    p_ranks.add_argument("--fd-step", type=float)
 
-    p_scan = sub.add_parser("scan", help="thermodynamic scan over uniform tilts")
-    common(p_scan)
-    p_scan.add_argument("--coherent-weight", type=float, default=1.0)
-    p_scan.add_argument("--s-min", type=float, default=-3.0)
-    p_scan.add_argument("--s-max", type=float, default=3.0)
-    p_scan.add_argument("--s-steps", type=int, default=61)
-    p_scan.add_argument("--fd-step", type=float, default=1e-4)
+    p_scan = command("scan", "thermodynamic scan over uniform tilts")
+    p_scan.add_argument("--coherent-weight", type=float)
+    p_scan.add_argument("--s-min", type=float)
+    p_scan.add_argument("--s-max", type=float)
+    p_scan.add_argument("--s-steps", type=int)
+    p_scan.add_argument("--fd-step", type=float)
     p_scan.add_argument(
         "--limit-mode",
         choices=["none", "inactive", "active"],
-        default="none",
         help="emit the extreme-tilt limit point instead of a grid",
     )
 
-    p_sim = sub.add_parser("simulate", help="quantum-jump Monte Carlo ensemble")
-    common(p_sim)
-    p_sim.add_argument("--coherent-weight", type=float, default=1.0)
-    p_sim.add_argument("--t-max", type=float, default=100.0)
-    p_sim.add_argument("--dt", type=float, default=1e-3)
-    p_sim.add_argument("--n-traj", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--fd-step", type=float, default=1e-4)
+    p_sim = command("simulate", "quantum-jump Monte Carlo ensemble")
+    p_sim.add_argument("--coherent-weight", type=float)
+    p_sim.add_argument("--t-max", type=float)
+    p_sim.add_argument("--dt", type=float, help="accepted and checked; the sampler takes no step")
+    p_sim.add_argument("--n-traj", type=int)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--fd-step", type=float)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, input=args.input)
-    for name in (
-        "output damping coherent_weight s_min s_max s_steps fd_step "
-        "t_max dt n_traj seed limit_mode".split()
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
+    cfg = RunConfig(**vars(args))
     workers = os.environ.get(WORKERS_ENV)
     if workers:
         cfg.n_workers = max(1, int(workers))

@@ -36,11 +36,6 @@ class DivergenceError(QswError):
     """A trajectory or integration left the numerically trustworthy regime."""
 
 
-class NonDissipativeError(QswError):
-    """The effective Hamiltonian let the state norm grow: the model is
-    not a valid dissipative walk."""
-
-
 class ZeroActivityError(QswError):
     """A quantity normalized by the total activity was requested at a
     point where the total activity vanishes."""

@@ -24,28 +24,6 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_matrix_csv(fp: IO[str], m: np.ndarray) -> None:
-    """Row-major dump of a matrix with generic column headers."""
-    m = np.atleast_2d(np.asarray(m))
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"col_{j}" for j in range(m.shape[1])])
-    for row in m:
-        writer.writerow([fmt(x) for x in row])
-
-
-def read_matrix_csv(fp: IO[str]) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`; complex-aware."""
-    reader = csv.reader(fp)
-    header = next(reader)
-    rows = [[complex(cell) for cell in row] for row in reader if row]
-    m = np.array(rows, dtype=complex)
-    if m.shape[1] != len(header):
-        raise ValueError("CSV row width does not match the header")
-    if np.all(m.imag == 0):
-        return m.real
-    return m
-
-
 def write_pagerank_csv(fp: IO[str], scores: np.ndarray) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["node", "score"])

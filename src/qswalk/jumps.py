@@ -1,65 +1,49 @@
 """Batched quantum-jump engine: trajectories as lanes of one array.
 
 Between jumps a pure state evolves under the non-Hermitian effective
-Hamiltonian H_eff = H - (i/2) sum_k L_k^dag L_k, so its squared norm
-decays; a jump fires when the norm crosses a uniform random threshold r
-(norm-decay waiting-time method), the jump operator is drawn with
-probability ||L_k psi||^2 / sum ||L_k' psi||^2 using a second uniform u,
-and the state is projected and renormalized.
+Hamiltonian H_eff = H - (i/2) sum_k L_k^dag L_k.  A QSW model's squared
+jump amplitudes sum to 1 per source node, so sum_k L_k^dag L_k = I and
+psi(tau) = exp(-tau/2) exp(-iH tau) psi: the squared norm is exactly
+exp(-tau).  The waiting time for a uniform threshold r (norm-decay
+waiting-time method) is therefore exactly tau = -ln r, with no time
+step.  A second uniform u picks the jump src -> dst with probability
+proportional to G[dst, src] |psi_src(tau)|^2, and the state becomes |dst>
+(its phase is global and never observed).
+
+With H = V diag(lam) V^T (one ``eigh`` per engine) a lane holds the
+coefficients c = V^T psi, and psi(tau) = V exp(-i lam tau) c; after a
+jump to dst, c is row dst of V.
 
 A block of trajectories ("lanes") advances in lock-step rounds of one
-waiting period per lane, and every per-lane step is an array operation
-across the lanes.  Implementation notes, all exact consequences of
-linearity:
+jump each, and every per-lane step is an array operation across the
+lanes.  A lane's result does not depend on the block size or on its
+position in the block:
 
-* One RK4 step of size dt for psi' = A psi (A = -i H_eff) equals the
-  degree-4 Taylor polynomial of exp(A dt) applied to psi, so stepping is
-  a matrix-vector product with a precomputed propagator.  Repeated
-  squaring yields propagators for 2^m steps, letting the waiting-time
-  search advance in blocks and binary-descend to the single bracketing
-  step when the threshold is crossed (norm decay is monotone, so a
-  crossing inside a block is visible at its end).
-* Within the bracketing step the squared norm of the degree-4 Taylor
-  state is a degree-8 polynomial in the substep time, assembled once
-  from the antidiagonal sums of the Gram matrix of the Taylor vectors;
-  the bisection to 1e-10 then runs elementwise, one entry per lane.
-* States are held as real vectors (Re psi, Im psi), and every product
-  is a sequence of elementwise float64 operations in a fixed order, never
-  a BLAS call across lanes, so the arithmetic of a lane does not depend
-  on the block size or on the lane's position in the block.
+* States are held as real vectors (Re, Im), and every product is a
+  sequence of elementwise float64 operations in a fixed order, never a
+  BLAS call across lanes.
 * Each lane reads its own counter-based Philox stream keyed by its seed,
-  in the order r, then u for each jump.
+  in the order r, then u for each jump.  Its logarithms and phases
+  lam * tau are evaluated one lane at a time, on arrays of one fixed
+  shape, so the elementary functions see the same input whatever the
+  block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError, NonDissipativeError
-from .lindblad import QswModel, effective_hamiltonian
-from .linalg import rk4_step_matrix
+from .lindblad import QswModel
 
-_BISECT_TOL = 1e-10  # waiting-time refinement, in time units
-_NORM_GROWTH_TOL = 1e-10  # relative tolerance on monotone norm decay
 _DRAWS = 64  # uniforms taken from a lane's stream at a time (multiple of 4)
-
-# flat Gram index k*5 + (m - k) of each term of the degree-m coefficient of
-# the norm polynomial, padded with the index 25 of a zero row
-_ANTIDIAG = np.array(
-    [[5 * k + m - k if 0 <= m - k <= 4 else 25 for k in range(5)] for m in range(9)]
-)
-
-
-def _real_form(m: np.ndarray) -> np.ndarray:
-    """The real 2n x 2n matrix acting on (Re psi, Im psi) as m acts on psi."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+_ROUNDS = _DRAWS // 2  # jumps per chunk of draws: r, then u
 
 
 def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-lane products sum_j cols[j] * x[j], summed in column order.
 
-    ``x`` holds one state per lane (last axis); ``cols[j]`` is column j of
-    the matrix, per lane or shared through a last axis of length 1.
+    ``x`` holds one vector per lane (last axis); ``cols[j]`` is column j
+    of the matrix, shared through a last axis of length 1.
     """
     y = cols[0] * x[0]
     for j in range(1, len(x)):
@@ -67,165 +51,38 @@ def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial sum_m c[m] x^m of every lane (``x`` one entry per lane)."""
-    p = c[-1] * x
-    for cm in c[-2:0:-1]:
-        p += cm
-        p *= x
-    p += c[0]
-    return p
-
-
-def check_decay(q_new, q_old):
-    """Raise unless every squared norm stayed at or below its last value."""
-    ok = np.asarray(q_new <= q_old * (1.0 + _NORM_GROWTH_TOL))
-    if not ok.all():
-        q_new, q_old = np.broadcast_arrays(q_new, q_old)
-        k = np.flatnonzero(~ok.ravel())[0]
-        if not np.isfinite(q_new.flat[k]):
-            raise DivergenceError("trajectory state left the finite range")
-        raise NonDissipativeError(
-            f"norm grew from {q_old.flat[k]:.6e} to {q_new.flat[k]:.6e} between jumps"
-        )
-
-
 class JumpEngine:
-    """Propagators and jump tables for one (model, dt) pair, in real form."""
+    """Eigenbasis of H and the jump table of one model."""
 
-    def __init__(self, model: QswModel, dt: float, t_max: float):
-        n = model.n
-        self.n = n
-        self.dt = dt
-        a = -1j * effective_hamiltonian(model)
-        # block propagators for 1, 2, 4, ... RK4 steps
-        p = rk4_step_matrix(a, dt)
-        powers = [p]
-        while (1 << len(powers)) * dt <= min(0.5, t_max) and len(powers) < 15:
-            p = p @ p
-            powers.append(p)
-        self.steps = dt * 2.0 ** np.arange(len(powers))  # block lengths
-        # ladder[m, j] is column j of block propagator m
-        self.ladder = np.stack([_real_form(p).T[:, :, None] for p in powers])
-        # rows k of the stack are A^k/k!; applied to psi they give the
-        # coefficients of the in-step Taylor polynomial
-        t = np.eye(n, dtype=complex)
-        rows = [t]
-        for k in range(1, 5):
-            t = rows[-1] @ (a / k)
-            rows.append(t)
-        self.taylor = np.concatenate([_real_form(t) for t in rows]).T[:, :, None]
+    def __init__(self, model: QswModel):
+        self.n = model.n
+        self.lam, self.v = np.linalg.eigh(model.hamiltonian)
+        self.cols = self.v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
         self.rates = model.jump_rate_matrix().reshape(-1, 1)  # row i*n + j: j -> i
 
-    def norm_poly(self, x: np.ndarray):
-        """Taylor vectors (5, 2n, lanes) and squared-norm polynomials (9, lanes)."""
-        v = _matvec(self.taylor, x).reshape(5, len(x), -1)
-        gram = v[:, None, 0] * v[None, :, 0]
-        for comp in range(1, len(x)):
-            gram += v[:, None, comp] * v[None, :, comp]
-        # antidiagonal sums: entry (m, k) picks gram[k, m - k], or the zero row
-        padded = np.concatenate([gram.reshape(25, -1), np.zeros((1, gram.shape[2]))])
-        c = padded[_ANTIDIAG[:, 0]]
-        for k in range(1, 5):
-            c += padded[_ANTIDIAG[:, k]]
-        return v, c
+    def draws(self, gen: np.random.Generator, seed: int, chunk: int):
+        """One lane's next ``_ROUNDS`` waiting times, jump uniforms and
+        phases cos(lam tau), sin(lam tau) (rounds x n), from chunk
+        ``chunk`` of the stream keyed by ``seed``."""
+        r, u = uniforms(gen, seed, chunk).reshape(_ROUNDS, 2).T
+        tau = -np.log(r)
+        phase = np.multiply.outer(tau, self.lam)
+        return tau, u, np.cos(phase), np.sin(phase)
 
-    def wait(self, x: np.ndarray, r: np.ndarray, horizon: np.ndarray):
-        """Evolve every lane until its squared norm crosses its threshold.
+    def jump(self, q: np.ndarray, u: np.ndarray):
+        """Pick each lane's jump from source weights ``q`` (n, lanes), the
+        squared amplitudes at the jump, with uniforms ``u``.
 
-        ``x`` (2n, lanes) holds unit states, ``r`` the thresholds and
-        ``horizon`` the time each lane has left.  Returns the mask of lanes
-        that cross before their horizon and, for those, the elapsed time
-        and the unnormalized state at the crossing.  The final partial
-        step (shorter than dt) is one RK4 step of the remaining size.
-        """
-        dt, steps = self.dt, self.steps
-        cur = x.copy()
-        q_cur = np.ones(len(r))
-        t_off = np.zeros(len(r))
-        level = np.zeros(len(r), dtype=np.intp)  # block that holds the crossing
-        span = np.full(len(r), dt)  # length of the bracketing step
-        beyond = np.zeros(len(r), dtype=bool)  # horizon reached first
-
-        def advance(lanes, lvl):
-            """Step ``lanes`` by blocks ``lvl`` where the norm stays >= r."""
-            trial = np.empty((len(cur), len(lanes)))
-            for m in np.flatnonzero(np.bincount(lvl)):  # one product per block size
-                at = lvl == m
-                trial[:, at] = _matvec(self.ladder[m], cur[:, lanes[at]])
-            q_t = _matvec(trial, trial)
-            check_decay(q_t, q_cur[lanes])
-            up = q_t >= r[lanes]
-            moved = lanes[up]
-            cur[:, moved] = trial[:, up]
-            q_cur[moved] = q_t[up]
-            t_off[moved] += steps[lvl[up]]
-            return up
-
-        lanes = np.arange(len(r))
-        while lanes.size:  # climb in the largest blocks that fit
-            rem = horizon[lanes] - t_off[lanes]
-            if (rem < dt).any():
-                beyond[lanes[rem <= 0]] = True
-                short = (rem > 0) & (rem < dt)
-                span[lanes[short]] = rem[short]
-                lanes, rem = lanes[rem >= dt], rem[rem >= dt]
-                if not lanes.size:
-                    break
-            lvl = np.searchsorted(steps, rem, side="right") - 1
-            up = advance(lanes, lvl)
-            level[lanes[~up]] = lvl[~up]
-            lanes = lanes[up]
-        lanes = np.flatnonzero(level)
-        while lanes.size:  # crossing inside a block: descend to one dt step
-            level[lanes] -= 1
-            advance(lanes, level[lanes])
-            lanes = lanes[level[lanes] > 0]
-
-        lanes = np.flatnonzero(~beyond)
-        v, c = self.norm_poly(cur[:, lanes])
-        r, span = r[lanes], span[lanes]
-        short = span < dt
-        if short.any():  # partial step: no crossing if the horizon comes first
-            q_end = _horner(c[:, short], span[short])
-            check_decay(q_end, q_cur[lanes[short]])
-            go = np.ones(len(lanes), dtype=bool)
-            go[short] = q_end < r[short]
-            lanes, v, c, r, span = lanes[go], v[:, :, go], c[:, go], r[go], span[go]
-        lo, hi = np.zeros(len(lanes)), span
-        while True:
-            open_ = hi - lo > _BISECT_TOL
-            if not open_.any():
-                break
-            mid = 0.5 * (lo + hi)
-            above = _horner(c, mid) >= r
-            lo = np.where(open_ & above, mid, lo)
-            hi = np.where(open_ & ~above, mid, hi)
-        tau = 0.5 * (lo + hi)
-        hit = np.zeros(len(t_off), dtype=bool)
-        hit[lanes] = True
-        return hit, t_off[lanes] + tau, _horner(v, tau)
-
-    def jump(self, psi: np.ndarray, u: np.ndarray):
-        """Pick each lane's jump with uniforms ``u`` and project onto it.
-
-        Returns destinations, sources and the new unit states.
+        Returns destinations and sources.
         """
         n = self.n
-        q = psi[:n] * psi[:n] + psi[n:] * psi[n:]
         w = self.rates * np.tile(q, (n, 1))  # w[i*n + j]: rate of jump j -> i now
         csum = np.add.accumulate(w, axis=0)
         idx = np.minimum((csum <= u * csum[-1]).sum(axis=0), n * n - 1)
         lanes = np.arange(len(u))
         empty = w[idx, lanes] == 0.0  # threshold landed on an empty bin edge
         idx[empty] = np.argmax(w[:, empty], axis=0)
-        dst, src = np.divmod(idx, n)
-        re, im = psi[src, lanes], psi[n + src, lanes]
-        mag = np.hypot(re, im)
-        new = np.zeros_like(psi)
-        new[dst, lanes] = re / mag  # projection keeps the phase
-        new[n + dst, lanes] = im / mag
-        return dst, src, new
+        return np.divmod(idx, n)
 
 
 def uniforms(gen: np.random.Generator, seed: int, chunk: int) -> np.ndarray:
@@ -253,33 +110,41 @@ def uniforms(gen: np.random.Generator, seed: int, chunk: int) -> np.ndarray:
 def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=False):
     """Run one trajectory per seed from ``psi0`` up to ``t_max``.
 
-    Lanes advance in lock-step rounds of one waiting period; a lane
-    leaves when its horizon comes before its next jump.  Returns the
-    counts (lanes, n) and, with ``record``, every lane's list of
-    (time, destination, source) events (otherwise None).
+    Lanes advance in lock-step rounds of one jump; a lane leaves when its
+    next jump would come at or after ``t_max``.  Returns the counts
+    (lanes, n) and, with ``record``, every lane's list of (time,
+    destination, source) events (otherwise None).
     """
-    n_lanes = len(seeds)
-    x = np.tile(np.concatenate([psi0.real, psi0.imag])[:, None], (1, n_lanes))
+    n, n_lanes = engine.n, len(seeds)
+    c0 = engine.v.T @ psi0
+    x = np.tile(np.concatenate([c0.real, c0.imag])[:, None], (1, n_lanes))
     t_abs = np.zeros(n_lanes)
-    counts = np.zeros((n_lanes, engine.n), dtype=np.int64)
+    counts = np.zeros((n_lanes, n), dtype=np.int64)
     events = [[] for _ in seeds] if record else None
     gen = np.random.Generator(np.random.Philox(key=0))
-    draws = np.empty((n_lanes, _DRAWS))
-    used = 0
+    tau, u = np.empty((n_lanes, _ROUNDS)), np.empty((n_lanes, _ROUNDS))
+    cos, sin = np.empty((n_lanes, _ROUNDS, n)), np.empty((n_lanes, _ROUNDS, n))
     lanes = np.arange(n_lanes)
+    rnd = 0
     while lanes.size:
-        # a live lane has drawn r, u once per earlier round, so every live
+        # every live lane has jumped once per earlier round, so every live
         # lane sits at the same place in its own stream
-        col = used % _DRAWS
+        col = rnd % _ROUNDS
         if col == 0:
             for k in lanes:
-                draws[k] = uniforms(gen, seeds[k], used // _DRAWS)
-        r, u = draws[lanes, col], draws[lanes, col + 1]
-        used += 2
-        hit, t_wait, psi = engine.wait(x[:, lanes], r, t_max - t_abs[lanes])
-        lanes = lanes[hit]
-        dst, src, x[:, lanes] = engine.jump(psi, u[hit])
-        t_abs[lanes] += t_wait
+                tau[k], u[k], cos[k], sin[k] = engine.draws(gen, seeds[k], rnd // _ROUNDS)
+        rnd += 1
+        t_next = t_abs[lanes] + tau[lanes, col]
+        keep = t_next < t_max
+        lanes = lanes[keep]
+        c, s = cos[lanes, col].T, sin[lanes, col].T
+        re, im = x[:n, lanes], x[n:, lanes]
+        psi_re = _matvec(engine.cols, c * re + s * im)  # V exp(-i lam tau) c
+        psi_im = _matvec(engine.cols, c * im - s * re)
+        dst, src = engine.jump(psi_re * psi_re + psi_im * psi_im, u[lanes, col])
+        x[:n, lanes] = engine.v[dst].T
+        x[n:, lanes] = 0.0
+        t_abs[lanes] = t_next[keep]
         counts[lanes, dst] += 1
         if record:
             for k, t, i, j in zip(lanes, t_abs[lanes], dst, src):

@@ -49,17 +49,6 @@ class SpectralResult:
     full_spectrum: Optional[np.ndarray] = None
 
 
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-d arrays")
-    if a.shape[0] * b.shape[0] > 1 << 20:
-        raise ValueError("kron result would exceed the dense size budget")
-    return np.kron(a, b)
-
-
 def vec(rho: ComplexMatrix) -> np.ndarray:
     """Column-stack a square matrix: vec(rho)[i + n*j] = rho[i, j]."""
     rho = np.asarray(rho)

@@ -1,10 +1,12 @@
 """Quantum-jump Monte Carlo unraveling and the tilted-integration oracle.
 
-A trajectory is a pure state that decays between jumps and is
-projected onto a node at each jump (the norm-decay waiting-time method,
-implemented by the batched engine in :mod:`qswalk.jumps`).  Jumps into
-node i increment the count K_i.  Ensembles run ``_BLOCK`` trajectories
-at a time as lanes of that engine; :func:`simulate` is the one-lane case.
+A trajectory is a pure state that evolves coherently between jumps and
+is projected onto a node at each jump.  Waiting times are sampled
+exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
+by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
+Jumps into node i increment the count K_i.  Ensembles run ``_BLOCK``
+trajectories at a time as lanes of that engine; :func:`simulate` is the
+one-lane case.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -24,7 +26,7 @@ from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
 from .tilt import tilted_superoperator
 
-DEFAULT_DT = 1e-3
+DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 _BLOCK = 1024  # lanes advanced together; bounds the engine's memory
 
 
@@ -85,14 +87,14 @@ def simulate(
     """Sample one quantum-jump trajectory up to ``t_max``.
 
     ``psi0`` must be a unit vector (default: the uniform superposition).
-    Deterministic inter-jump propagation uses the fixed-step 4th-order
-    scheme with step ``dt``; jump times are refined to 1e-10 inside the
-    bracketing step.  A fixed seed reproduces the record bitwise, and the
+    Waiting times are exact (tau = -ln r) and the state at a jump comes
+    from the eigenbasis of H, so ``dt`` is ignored; it is still checked
+    to be positive.  A fixed seed reproduces the record bitwise, and the
     record equals that seed's lane in any ensemble.
     """
     psi = _initial_state(model, psi0, t_max, dt)
     _check_seeds(seed, seed)
-    engine = JumpEngine(model, dt, t_max)
+    engine = JumpEngine(model)
     counts, events = run_lanes(engine, psi, t_max, [seed], record=True)
     return TrajectoryRecord(
         seed=seed, t_final=t_max, jump_events=tuple(events[0]), counts=counts[0]
@@ -101,8 +103,8 @@ def simulate(
 
 def _counts_block(args) -> np.ndarray:
     """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
-    model, psi0, t_max, dt, seeds = args
-    engine = JumpEngine(model, dt, t_max)
+    model, psi0, t_max, seeds = args
+    engine = JumpEngine(model)
     return np.concatenate([
         run_lanes(engine, psi0, t_max, seeds[k:k + _BLOCK])[0]
         for k in range(0, len(seeds), _BLOCK)
@@ -123,6 +125,8 @@ def ensemble_stats(
     Trajectory idx uses the stream keyed by seed0 + idx, so the ensemble
     is reproducible and insensitive to how work is distributed.  With
     ``n_workers`` > 1 the seed range is split across a process pool.
+    ``dt`` is checked to be positive and otherwise ignored, as in
+    :func:`simulate`.
     """
     if n_traj < 2:
         raise ValueError("ensemble statistics need n_traj >= 2")
@@ -133,14 +137,14 @@ def ensemble_stats(
         import concurrent.futures
 
         chunks = [
-            (model, psi, t_max, dt, seeds[part[0]:part[-1] + 1])
+            (model, psi, t_max, seeds[part[0]:part[-1] + 1])
             for part in np.array_split(np.arange(n_traj), n_workers)
             if len(part)
         ]
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             counts = np.concatenate(list(pool.map(_counts_block, chunks)), axis=0)
     else:
-        counts = _counts_block((model, psi, t_max, dt, seeds))
+        counts = _counts_block((model, psi, t_max, seeds))
 
     k = counts.astype(float)
     mean_k = k.mean(axis=0)
@@ -259,22 +263,3 @@ def free_energy_by_integration(
         n_samples=int(mask.sum()),
     )
 
-
-def sample_steady_state_vector(model: QswModel, seed: int = 0) -> np.ndarray:
-    """Draw a pure state from the steady-state eigendecomposition.
-
-    Eigenvectors of the stationary density matrix are selected with
-    probability equal to their eigenvalue; useful as an initial
-    condition that removes the relaxation transient from counting
-    statistics.
-    """
-    from .lindblad import steady_state
-
-    rho = steady_state(model)
-    evals, evecs = np.linalg.eigh(rho)
-    probs = np.clip(evals.real, 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    choice = rng.choice(len(probs), p=probs)
-    v = evecs[:, choice]
-    return v / np.linalg.norm(v)

@@ -105,7 +105,7 @@ def reconstruct_state(model, record, t, dt=0.01):
     """Rebuild the normalized trajectory state at time t from its jump record.
 
     Deterministic stretches are integrated with integrate_linear on
-    -i H_eff, a different code path from the engine's cached block powers,
+    -i H_eff, a different code path from the engine's eigenbasis of H,
     so agreement of ensemble averages with evolve() checks both the
     sampler and the propagator at once.
     """
@@ -137,14 +137,59 @@ def random_digraph(rng, n_max=8, ensure_edge=True):
     return q.DirectedGraph(n=n, edges=frozenset(edges))
 
 
+def _choose_jump(rates, psi_at, u):
+    """(dst, src) of the jump picked by ``u`` at state ``psi_at``, with the
+    engine's rule: searchsorted on the cumulative weights, and the largest
+    weight when the threshold lands on an empty bin."""
+    n = len(psi_at)
+    w = (rates * np.abs(psi_at) ** 2).ravel()
+    csum = np.cumsum(w)
+    idx = min(int(np.searchsorted(csum, u * csum[-1], side="right")), n * n - 1)
+    if w[idx] == 0.0:
+        idx = int(np.argmax(w))
+    return divmod(idx, n)
+
+
+def exact_trajectory(model, t_max, seed, psi0=None):
+    """Counts and events of one jump trajectory with exact waiting times.
+
+    The no-jump norm of a QSW model is exp(-t), so a threshold r fires
+    after tau = -ln r; the state at the jump is scipy's expm(-iH tau)
+    applied to the state after the last jump, not the engine's
+    eigenbasis.  Draws come from the same keyed stream in the same order
+    (r, then u) as :mod:`qswalk.jumps`, so the batched engine must
+    reproduce the events seed by seed.  ``psi0`` defaults to the uniform
+    superposition.
+    """
+    n = model.n
+    rates = model.jump_rate_matrix()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    psi = np.full(n, 1.0 / np.sqrt(n), dtype=complex) if psi0 is None else psi0
+    counts = np.zeros(n, dtype=np.int64)
+    events = []
+    t_abs = 0.0
+    while True:
+        tau = -math.log(rng.random())
+        if t_abs + tau >= t_max:
+            return counts, events
+        psi_at = scipy.linalg.expm(-1j * model.hamiltonian * tau) @ psi
+        dst, src = _choose_jump(rates, psi_at, rng.random())
+        t_abs += tau
+        counts[dst] += 1
+        events.append((t_abs, dst, src))
+        psi = np.zeros(n, dtype=complex)
+        psi[dst] = 1.0
+
+
 def scalar_trajectory(model, t_max, dt, seed):
     """Counts and events of one jump trajectory, one waiting period at a time.
 
-    A scalar sampler: complex states, dense matrix-vector products, an RK4
-    propagator built for the partial step at the horizon, a Gram-matrix
-    norm polynomial and a bisection on Python floats.  It draws from the
-    same keyed stream in the same order as :mod:`qswalk.jumps`, so the
-    batched engine must reproduce its counts seed by seed.
+    A time-stepping sampler: complex states, dense matrix-vector products,
+    an RK4 propagator built for the partial step at the horizon, a
+    Gram-matrix norm polynomial and a bisection on Python floats.  It
+    finds the waiting time by integrating the norm, so its event times
+    carry the RK4 error of ``dt``; it draws from the same keyed stream in
+    the same order as :mod:`qswalk.jumps`.
     """
     n = model.n
     a = -1j * q.effective_hamiltonian(model)
@@ -214,12 +259,7 @@ def scalar_trajectory(model, t_max, dt, seed):
         if hit is None:
             return counts, events
         t_wait, psi_at = hit
-        w = (rates * np.abs(psi_at) ** 2).ravel()
-        csum = np.cumsum(w)
-        idx = min(int(np.searchsorted(csum, rng.random() * csum[-1], side="right")), n * n - 1)
-        if w[idx] == 0.0:
-            idx = int(np.argmax(w))
-        dst, src = divmod(idx, n)
+        dst, src = _choose_jump(rates, psi_at, rng.random())
         t_abs += t_wait
         counts[dst] += 1
         events.append((t_abs, dst, src))

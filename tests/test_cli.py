@@ -196,6 +196,18 @@ def test_simulate_is_reproducible(two_node_file, tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_simulate_dt_is_checked_but_not_used(two_node_file, tmp_path):
+    # the sampler takes no time step: --dt must be positive and is ignored,
+    # down to the event times of a single trajectory
+    args = ["simulate", "--input", two_node_file, "--t-max", "5", "--n-traj", "1"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--dt", "0.05", "--output", str(a)]) == 0
+    assert main(args + ["--dt", "0.7", "--output", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+    assert (tmp_path / "a.csv.events.csv").read_text() == (tmp_path / "b.csv.events.csv").read_text()
+    assert main(args + ["--dt", "0"]) == 2
+
+
 def test_simulate_single_trajectory(two_node_file, tmp_path):
     out = tmp_path / "single.csv"
     assert main(

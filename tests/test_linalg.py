@@ -19,7 +19,7 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# -- vec / unvec / kron ----------------------------------------------------
+# -- vec / unvec -----------------------------------------------------------
 
 
 def test_vec_is_column_stacking():
@@ -37,18 +37,6 @@ def test_unvec_rejects_non_square_length():
         q.unvec(np.arange(6.0))
 
 
-def test_kron_matches_numpy(rng):
-    a = _random_complex(rng, (3, 4))
-    b = _random_complex(rng, (2, 5))
-    assert_allclose(q.kron(a, b), np.kron(a, b))
-
-
-def test_kron_size_budget():
-    big = np.zeros((1100, 1100))
-    with pytest.raises(ValueError):
-        q.kron(big, big)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_vec_kron_identity(n, seed):
@@ -58,7 +46,7 @@ def test_vec_kron_identity(n, seed):
     x = _random_complex(rng, (n, n))
     b = _random_complex(rng, (n, n))
     assert_allclose(
-        q.kron(b.T, a) @ q.vec(x), q.vec(a @ x @ b), atol=1e-10 * n * n
+        np.kron(b.T, a) @ q.vec(x), q.vec(a @ x @ b), atol=1e-10 * n * n
     )
 
 

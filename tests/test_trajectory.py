@@ -1,11 +1,12 @@
 """Quantum-jump unraveling and the integration route to the free energy.
 
-The sampler is validated against closed-form statistics (unit-rate
-Poisson process for the single-node walk), against the deterministic
-master equation (ensemble average of pure-state projectors vs evolve),
-against the one-trajectory-at-a-time engine in ``oracles`` (counts seed
-by seed), and for bitwise reproducibility under its counter-based
-generator, whatever block of lanes a trajectory runs in.
+The sampler is validated against closed-form statistics (exact
+waiting times -ln r, a unit-rate Poisson process for the total jump
+count), against the deterministic master equation (ensemble average of
+pure-state projectors vs evolve), against the one-trajectory-at-a-time
+samplers in ``oracles`` (an exact one with scipy's expm, event by event,
+and a time-stepping RK4 one), and for bitwise reproducibility under its
+counter-based generator, whatever block of lanes a trajectory runs in.
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from numpy.testing import assert_allclose
 
 import qswalk as q
 from qswalk import jumps, trajectory
-from qswalk.jumps import JumpEngine, check_decay, run_lanes, uniforms
+from qswalk.jumps import JumpEngine, run_lanes, uniforms
 from qswalk.trajectory import _counts_block
-from oracles import reconstruct_state, scalar_trajectory
+from oracles import exact_trajectory, reconstruct_state, scalar_trajectory
 
 
 # -- simulate: record contract and determinism --------------------------------
@@ -55,6 +56,8 @@ def test_simulate_validation(two_node_model):
     with pytest.raises(ValueError):
         q.simulate(two_node_model, dt=0.0)
     with pytest.raises(ValueError):
+        q.ensemble_stats(two_node_model, dt=-1.0, n_traj=2)
+    with pytest.raises(ValueError):
         q.simulate(two_node_model, seed=-1)
     with pytest.raises(ValueError):
         q.simulate(two_node_model, seed=1 << 64)
@@ -87,7 +90,7 @@ def test_jump_rates_approach_activity(two_node_model):
 def test_unraveling_average_matches_master_equation(two_node_model):
     # mean of |psi><psi| over trajectories vs deterministic evolve,
     # with trajectory states rebuilt through integrate_linear (a
-    # different propagation path from the sampler's cached powers)
+    # different propagation path from the sampler's eigenbasis)
     t_obs, n_traj = 1.5, 1200
     acc = np.zeros((2, 2, n_traj), dtype=complex)
     for k in range(n_traj):
@@ -101,22 +104,35 @@ def test_unraveling_average_matches_master_equation(two_node_model):
     assert np.all(np.abs(mean - target) <= 5.0 * np.abs(se) + 1e-4)
 
 
-def test_check_decay_guards():
-    check_decay(0.5, 1.0)  # decay is fine
-    check_decay(1.0 + 1e-12, 1.0)  # roundoff growth is tolerated
-    with pytest.raises(q.NonDissipativeError):
-        check_decay(1.1, 1.0)
-    with pytest.raises(q.DivergenceError):
-        check_decay(float("nan"), 1.0)
-    with pytest.raises(q.DivergenceError):
-        check_decay(float("inf"), 1.0)
+def test_waiting_times_are_minus_log_r(six_node_model):
+    # the no-jump norm is exactly exp(-t), so the k-th event comes at the
+    # sum of -ln r over the first k thresholds r of the seed's stream,
+    # which are the uniforms 0, 2, 4, ... (each jump draws r, then u)
+    for seed in (0, 9, 2024):
+        rec = q.simulate(six_node_model, t_max=50.0, dt=0.05, seed=seed)
+        stream = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        r = stream.random(2 * len(rec.jump_events) + 2)[::2]
+        times = np.cumsum(-np.log(r))
+        assert_allclose([e[0] for e in rec.jump_events], times[:-1], rtol=0, atol=1e-12)
+        assert times[-1] >= 50.0 > times[-2]
+
+
+def test_total_jump_count_is_poisson(six_node_model):
+    # waiting times are Exp(1) whatever the jump, so the total count over
+    # all nodes is Poisson(t): mean t and variance t
+    t, n_traj = 50.0, 2000
+    psi = np.full(6, 6 ** -0.5, dtype=complex)
+    total = _counts_block((six_node_model, psi, t, range(n_traj))).sum(axis=1)
+    assert abs(total.mean() - t) < 4.0 * np.sqrt(t / n_traj)
+    # the sample variance of Poisson(t) has variance about (t + 2 t^2) / n
+    assert abs(total.var(ddof=1) - t) < 4.0 * np.sqrt((t + 2.0 * t * t) / n_traj)
 
 
 # -- batched engine: lane independence and the scalar oracle -------------------
 
 
-def _lanes(model, seeds, t_max, dt):
-    engine = JumpEngine(model, dt, t_max)
+def _lanes(model, seeds, t_max):
+    engine = JumpEngine(model)
     psi = np.full(model.n, 1.0 / np.sqrt(model.n), dtype=complex)
     return run_lanes(engine, psi, t_max, seeds, record=True)
 
@@ -134,10 +150,10 @@ def test_uniform_chunks_continue_one_stream(seed):
 def test_lane_matches_simulate_whatever_the_block(graph, request):
     model = request.getfixturevalue(graph)
     seeds = list(range(300, 364))
-    one_block = _lanes(model, seeds, 15.0, 0.05)
+    one_block = _lanes(model, seeds, 15.0)
     # the same seeds reversed, in blocks of 5: other neighbours and positions
     rev = seeds[::-1]
-    split = [_lanes(model, rev[k:k + 5], 15.0, 0.05) for k in range(0, len(rev), 5)]
+    split = [_lanes(model, rev[k:k + 5], 15.0) for k in range(0, len(rev), 5)]
     split_counts = np.concatenate([c for c, _ in split])[::-1]
     split_events = [e for _, ev in split for e in ev][::-1]
     for k, seed in enumerate(seeds):
@@ -148,7 +164,7 @@ def test_lane_matches_simulate_whatever_the_block(graph, request):
 
 
 def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
-    args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, 0.05, range(40, 70))
+    args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, range(40, 70))
     whole = _counts_block(args)
     monkeypatch.setattr(trajectory, "_BLOCK", 7)
     assert np.array_equal(_counts_block(args), whole)
@@ -158,39 +174,65 @@ def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
 def test_counts_match_scalar_oracle(graph, request):
     model = request.getfixturevalue(graph)
     seeds = range(1000, 1200)
-    psi = np.full(model.n, 1.0 / np.sqrt(model.n), dtype=complex)
-    counts = _counts_block((model, psi, 200.0, 0.05, seeds))
-    for row, seed in zip(counts, seeds):
-        assert np.array_equal(row, scalar_trajectory(model, 200.0, 0.05, seed)[0]), seed
+    counts, events = _lanes(model, seeds, 200.0)
+    for row, ev, seed in zip(counts, events, seeds):
+        ref_counts, ref_events = exact_trajectory(model, 200.0, seed)
+        assert np.array_equal(row, ref_counts), seed
+        assert [e[1:] for e in ev] == [e[1:] for e in ref_events], seed
+        assert_allclose([e[0] for e in ev], [e[0] for e in ref_events], rtol=0, atol=1e-12)
 
 
-def test_partial_horizon_step_matches_scalar_oracle(two_node_model):
-    # t_max < dt: every waiting period is the single partial RK4 step at
-    # the horizon, so each jump was bisected inside that step and each
-    # trajectory ends on a partial step that stays above its threshold
-    seeds = list(range(64))
-    counts, events = _lanes(two_node_model, seeds, 0.3, 0.5)
-    assert counts.sum() > 0 and (counts.sum(axis=1) == 0).any()
-    for seed, row, ev in zip(seeds, counts, events):
-        ref_counts, ref_events = scalar_trajectory(two_node_model, 0.3, 0.5, seed)
-        assert np.array_equal(row, ref_counts)
-        assert_allclose([e[0] for e in ev], [e[0] for e in ref_events], atol=1e-9)
-        assert [e[1:] for e in ev] == [e[1:] for e in ref_events]
+def test_complex_start_state_matches_exact_oracle(six_node_model):
+    # a complex psi0 is the only state with an imaginary part in the
+    # eigenbasis; after the first jump every state is a real |dst>
+    rng = np.random.default_rng(5)
+    psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    psi0 /= np.linalg.norm(psi0)
+    for seed in range(40):
+        rec = q.simulate(six_node_model, psi0=psi0, t_max=3.0, seed=seed)
+        _, ref_events = exact_trajectory(six_node_model, 3.0, seed, psi0=psi0)
+        assert [e[1:] for e in rec.jump_events] == [e[1:] for e in ref_events], seed
+
+
+@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
+def test_events_match_time_stepping_oracle(graph, request):
+    # the RK4 sampler integrates the norm that the engine samples exactly;
+    # at dt = 0.005 its event times carry an RK4 error well under 1e-6
+    model = request.getfixturevalue(graph)
+    seeds = range(1000, 1050)
+    _, events = _lanes(model, seeds, 50.0)
+    for ev, seed in zip(events, seeds):
+        _, ref_events = scalar_trajectory(model, 50.0, 0.005, seed)
+        assert [e[1:] for e in ev] == [e[1:] for e in ref_events], seed
+        assert_allclose([e[0] for e in ev], [e[0] for e in ref_events], rtol=0, atol=1e-6)
+
+
+def test_lane_past_the_horizon_records_no_event(two_node_model):
+    # a lane leaves at its first round when tau = -ln r reaches t_max
+    seeds = range(64)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    first_tau = np.array([-np.log(uniforms(gen, seed, 0)[0]) for seed in seeds])
+    counts, events = _lanes(two_node_model, seeds, 0.3)
+    late = first_tau >= 0.3
+    assert late.any() and (~late).any()
+    for ev, tau, is_late in zip(events, first_tau, late):
+        if is_late:
+            assert ev == []
+        else:
+            assert ev[0][0] == pytest.approx(tau, rel=0, abs=1e-15)
+    assert np.all(counts[late] == 0)
 
 
 def test_jump_choice_falls_back_from_an_empty_bin(two_node_model):
-    engine = JumpEngine(two_node_model, 0.05, 1.0)
-    # all amplitude on node 0, so every jump out of node 1 has weight 0;
+    engine = JumpEngine(two_node_model)
+    # all weight on node 0, so every jump out of node 1 has weight 0;
     # u = 1 lands the threshold on the last bin, 1 -> 1, which is empty
-    psi = np.array([[0.6], [0.0], [0.8], [0.0]])
+    q0 = np.array([[1.0], [0.0]])
     w = (two_node_model.jump_rate_matrix() * np.array([1.0, 0.0])).ravel()
-    dst, src, new = engine.jump(psi, np.array([1.0]))
+    dst, src = engine.jump(q0, np.array([1.0]))
     assert w[-1] == 0.0
     assert divmod(int(np.argmax(w)), 2) == (dst[0], src[0])
     assert src[0] == 0
-    expected = np.zeros(4)
-    expected[dst[0]], expected[2 + dst[0]] = 0.6, 0.8
-    assert np.array_equal(new[:, 0], expected)
 
 
 # -- ensemble_stats --------------------------------------------------------------
@@ -304,22 +346,3 @@ def test_integration_detects_divergence(two_node_model):
         q.free_energy_by_integration(
             two_node_model, q.uniform_tilt(two_node_model, -600.0), t_max=100.0, dt=1.0
         )
-
-
-# -- steady-state sampling ----------------------------------------------------------
-
-
-def test_sample_steady_state_vector(two_node_model):
-    v = q.sample_steady_state_vector(two_node_model, seed=0)
-    assert_allclose(np.linalg.norm(v), 1.0, atol=1e-12)
-    assert np.array_equal(v, q.sample_steady_state_vector(two_node_model, seed=0))
-    rho = q.steady_state(two_node_model)
-    evals = np.linalg.eigvalsh(rho)
-    # drawn frequencies track the eigenvalue weights
-    draws = [q.sample_steady_state_vector(two_node_model, seed=s) for s in range(300)]
-    top = sum(
-        1
-        for v in draws
-        if abs(abs(v @ np.linalg.eigh(rho)[1][:, 1].conj()) - 1.0) < 1e-9
-    )
-    assert abs(top / 300.0 - evals[1]) < 0.1
