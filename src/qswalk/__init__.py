@@ -30,11 +30,8 @@ from .graph import (
 from .lindblad import (
     QswModel,
     build_qsw,
-    dissipator_diagonal,
-    effective_hamiltonian,
     evolve,
     liouvillian,
-    recycling_superoperator,
     steady_state,
 )
 from .linalg import (
@@ -53,7 +50,6 @@ from .tilt import (
     active_limit_normalized_activity,
     dispersion,
     free_energy,
-    limit_generator,
     normalized_activity,
     scan,
     tilted_superoperator,
@@ -92,8 +88,6 @@ __all__ = [
     "active_limit_normalized_activity",
     "build_qsw",
     "dispersion",
-    "dissipator_diagonal",
-    "effective_hamiltonian",
     "eig_general",
     "ensemble_stats",
     "evolve",
@@ -101,13 +95,11 @@ __all__ = [
     "free_energy_by_integration",
     "google_matrix",
     "integrate_linear",
-    "limit_generator",
     "liouvillian",
     "normalized_activity",
     "null_vector",
     "pagerank",
     "parse_edge_list",
-    "recycling_superoperator",
     "rk4_step_matrix",
     "scan",
     "simulate",

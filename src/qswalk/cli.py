@@ -31,12 +31,11 @@ from .tilt import (
     activity,
     active_limit_normalized_activity,
     dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
-    limit_generator,
     scan,
     ThermoPoint,
     uniform_tilt,
 )
-from .linalg import eig_general
+from .linalg import eig_general  # unused here; perfbench still patches qswalk.cli.eig_general
 from .trajectory import ensemble_stats, simulate
 
 WORKERS_ENV = "QSWALK_WORKERS"
@@ -130,7 +129,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**vars(args))
     workers = os.environ.get(WORKERS_ENV)
     if workers:
-        cfg.n_workers = max(1, int(workers))
+        try:
+            cfg.n_workers = max(1, int(workers))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {workers!r}") from None
     cfg.validate()
     return cfg
 
@@ -169,14 +171,10 @@ def cmd_ranks(cfg: RunConfig) -> int:
 
 
 def _limit_point(model, mode: str) -> ThermoPoint:
-    gen = limit_generator(model, mode)
-    theta = eig_general(gen).leading_eigenvalue.real
-    if mode == "active":
-        s = np.full(model.n, -math.inf)
-        return ThermoPoint(
-            s=s, theta=theta, alpha_norm=active_limit_normalized_activity(model)
-        )
-    return ThermoPoint(s=np.full(model.n, math.inf), theta=theta)
+    if mode == "active":  # theta = 1: jumps follow the Perron vector of the rates
+        alpha_norm = active_limit_normalized_activity(model)
+        return ThermoPoint(s=np.full(model.n, -math.inf), theta=1.0, alpha_norm=alpha_norm)
+    return ThermoPoint(s=np.full(model.n, math.inf), theta=-1.0)  # no jumps: norm decay
 
 
 def cmd_scan(cfg: RunConfig) -> int:

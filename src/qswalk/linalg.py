@@ -18,8 +18,8 @@ Conventions used project-wide:
 * :func:`eig_general` keeps real input real: a real matrix goes to
   LAPACK's real driver (``dgeev``), a complex one to ``zgeev``.
 
-Everything here is dense and targets superoperators up to about
-1024 x 1024 (32 graph nodes).
+Everything here is dense and targets superoperators up to 4096 x 4096
+(64 graph nodes, the size guard ``lindblad.DENSE_NODE_LIMIT``).
 """
 
 from __future__ import annotations

@@ -147,20 +147,6 @@ def build_qsw(
     return QswModel(n=g.n, hamiltonian=h, jumps=jumps)
 
 
-def dissipator_diagonal(model: QswModel) -> np.ndarray:
-    """Diagonal of sum_k L_k^dag L_k as a length-n vector of column sums."""
-    d = np.zeros(model.n)
-    for (_i, j, amp) in model.jumps:
-        d[j] += amp * amp
-    return d
-
-
-def effective_hamiltonian(model: QswModel) -> np.ndarray:
-    """Non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k driving the
-    deterministic segments of jump trajectories."""
-    return model.hamiltonian - 0.5j * np.diag(dissipator_diagonal(model))
-
-
 def check_dense_budget(n: int) -> None:
     """Raise :class:`SizeBudgetError` for models above ``DENSE_NODE_LIMIT``
     nodes, before any n^2 x n^2 matrix is allocated."""
@@ -189,38 +175,24 @@ def tilt_recycling(w: np.ndarray, model: QswModel, factors: np.ndarray) -> np.nd
     return w
 
 
-def recycling_superoperator(model: QswModel, nodes=None) -> Superoperator:
-    """Matrix of rho -> sum L_ij rho L_ij^dag over jumps landing on ``nodes``.
-
-    With single-entry jump operators, conj(L_ij) (x) L_ij has its only
-    entry at row i*(n+1), column j*(n+1): the map reads populations and
-    writes populations.  ``nodes=None`` includes every destination.
-    """
-    n = model.n
-    check_dense_budget(n)
-    keep = set(range(n) if nodes is None else nodes)
-    r = np.zeros((n * n, n * n), dtype=complex)
-    diag = np.arange(n) * (n + 1)
-    for (i, j, amp) in model.jumps:
-        if i in keep:
-            r[diag[i], diag[j]] += amp * amp
-    return r
-
-
 def liouvillian(model: QswModel) -> Superoperator:
     """Dense matrix of the Lindblad generator over column-stacked states.
 
     Trace preservation holds structurally: vec(I)^dag annihilates the
-    result from the left (columns of the population block sum to the
-    dissipator diagonal, cancelling the anticommutator).
+    result from the left to rounding, because the anticommutator uses the
+    model's own column sums of the rates, not the I they approximate
+    (finite-difference second derivatives magnify a residual by 1/h^2).
     """
     n = model.n
     check_dense_budget(n)
     h = model.hamiltonian
     eye = np.eye(n)
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    lmat += recycling_superoperator(model)
-    d = np.diag(dissipator_diagonal(model))
+    dest, src, amp = model.jump_table
+    rates = amp * amp
+    pop = np.arange(n) * (n + 1)
+    np.add.at(lmat, (pop[dest], pop[src]), rates)
+    d = np.diag(np.bincount(src, weights=rates, minlength=n))
     lmat -= 0.5 * (np.kron(eye, d) + np.kron(d.T, eye))
     return lmat
 

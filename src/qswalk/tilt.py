@@ -19,10 +19,11 @@ yield the per-node activity and index of dispersion; both are taken by
 central finite differences with a step-halving self-check, since the
 generator has no closed-form derivative here.
 
-Extreme tilts are handled structurally rather than by exponentiating
-huge arguments: the fully inactive limit (all s_i -> +infinity) drops
-the recycling terms, and the active limit (s -> -infinity) keeps only
-the recycling map, rescaled by its diverging prefactor.
+Extreme tilts have closed forms, since sum_k L_k^dag L_k = I: with no
+jumps left (all s_i -> +infinity) the norm decays at rate 1, theta = -1;
+rescaled by exp(s) as s -> -infinity the generator is the bare recycling
+map, with theta = 1 and the Perron vector of the jump-rate matrix G as
+its jump profile (:func:`active_limit_normalized_activity`, n x n).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .lindblad import (
     QswModel,
     Superoperator,
     liouvillian,
-    recycling_superoperator,
     steady_state,
     tilt_recycling,
 )
@@ -79,10 +79,10 @@ def _as_tilt(model: QswModel, s) -> np.ndarray:
     if s.shape != (model.n,):
         raise ValueError(f"tilt vector must have length n={model.n}, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
-        raise ValueError("tilt vector must be finite; use the limit generators instead")
+        raise ValueError("tilt vector must be finite; s = +/-inf are the --limit-mode rows")
     if np.any(-s > _EXP_ARG_LIMIT):
         raise ValueError(
-            "tilt too negative for exp evaluation; use limit_generator('active')"
+            "tilt too negative for exp evaluation; use active_limit_normalized_activity"
         )
     return s
 
@@ -92,25 +92,14 @@ def uniform_tilt(model: QswModel, value: float) -> TiltVector:
     return np.full(model.n, float(value))
 
 
-def tilted_superoperator(
-    model: QswModel, s, inactive_nodes: Sequence[int] = ()
-) -> Superoperator:
+def tilted_superoperator(model: QswModel, s) -> Superoperator:
     """Counting-biased generator W_s over column-stacked states.
 
-    Node i's factor exp(-s_i) multiplies all jumps landing on i.  Nodes
-    listed in ``inactive_nodes`` have their recycling terms dropped
-    entirely (the s_i -> +infinity limit); their s entries are ignored.
-    At s = 0 with no inactive nodes the result equals the Liouvillian
-    bitwise.
+    Node i's factor exp(-s_i) multiplies all jumps landing on i.  At
+    s = 0 the result equals the Liouvillian bitwise.
     """
     s = _as_tilt(model, s)
-    inactive = set(inactive_nodes)
-    for i in inactive:
-        if not 0 <= i < model.n:
-            raise ValueError(f"inactive node {i} out of range")
-    factors = np.exp(-s)
-    factors[list(inactive)] = 0.0
-    return tilt_recycling(liouvillian(model), model, factors[model.jump_table[0]])
+    return tilt_recycling(liouvillian(model), model, np.exp(-s)[model.jump_table[0]])
 
 
 def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
@@ -124,22 +113,6 @@ def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
         raise ValueError("per-jump tilts must be finite and exp-representable")
     dest, src, _amp = model.jump_table
     return tilt_recycling(liouvillian(model), model, np.exp(-s_matrix[dest, src]))
-
-
-def limit_generator(model: QswModel, mode: str) -> Superoperator:
-    """Generator of an extreme-tilt limit.
-
-    ``"inactive"``: the Liouvillian with every recycling term removed;
-    its spectrum governs the jump-free (coherent, norm-decaying) branch.
-    ``"active"``: the bare recycling map, i.e. the tilted generator
-    rescaled by exp(s) as s -> -infinity; its leading eigenvector gives
-    the limiting jump-destination profile.
-    """
-    if mode == "inactive":
-        return liouvillian(model) - recycling_superoperator(model)
-    if mode == "active":
-        return recycling_superoperator(model)
-    raise ValueError(f"mode must be 'inactive' or 'active', got {mode!r}")
 
 
 def free_energy(model: QswModel, s) -> float:
@@ -157,14 +130,13 @@ def free_energy(model: QswModel, s) -> float:
 def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
     """Normalized activity in the s -> -infinity limit.
 
-    The rescaled generator is the bare recycling map; jumps then land on
-    node i at a rate proportional to row i of the rate matrix applied to
-    the populations of the leading eigenvector.  For column-stochastic
-    rates this reproduces the classical pagerank.
+    The rescaled generator is the bare recycling map: the jump-rate
+    matrix G on the populations, zero on coherences.  Jumps then land on
+    node i at a rate proportional to (G|v|)_i for the Perron vector v of
+    G, solved directly, so periodic damping-1 graphs need no iteration.
     """
-    res = eig_general(limit_generator(model, "active"))
-    pops = np.abs(np.diag(res.leading_right_eigenvector.reshape((model.n, model.n), order="F")))
-    rate = model.jump_rate_matrix() @ pops
+    rates = model.jump_rate_matrix()
+    rate = rates @ np.abs(eig_general(rates).leading_right_eigenvector)
     total = rate.sum()
     if total <= _ACTIVITY_FLOOR:
         raise ZeroActivityError("active-limit jump profile has vanishing total rate")
@@ -284,6 +256,21 @@ def _observables(
     )
 
 
+def _pool_size(n_workers: Optional[int], n_jobs: int) -> int:
+    """``n_workers`` capped at one per job: a pool forks every worker at once."""
+    return max(1, min(n_workers or 1, n_jobs))
+
+
+def _fan_out(fn, jobs: list, n_workers: Optional[int]) -> list:
+    """``[fn(job) for job in jobs]``, in input order, on a process pool
+    of ``_pool_size`` workers when that is more than one."""
+    workers = _pool_size(n_workers, len(jobs))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+
+
 def _scan_worker(args) -> ThermoPoint:
     model, s, h, self_check = args
     try:  # numerical failures are recorded per point, never abort the scan
@@ -312,7 +299,4 @@ def scan(
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     jobs = [(model, s, h, self_check) for s in s_grid]
-    if n_workers is not None and n_workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(_scan_worker, jobs, chunksize=max(1, len(jobs) // (4 * n_workers))))
-    return [_scan_worker(job) for job in jobs]
+    return _fan_out(_scan_worker, jobs, n_workers)

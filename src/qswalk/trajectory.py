@@ -24,7 +24,7 @@ from .errors import DivergenceError
 from .jumps import JumpEngine, run_lanes
 from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
-from .tilt import tilted_superoperator
+from .tilt import _fan_out, _pool_size, tilted_superoperator
 
 DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 _BLOCK = 1024  # lanes advanced together; bounds the engine's memory
@@ -133,18 +133,11 @@ def ensemble_stats(
     _check_seeds(seed0, seed0 + n_traj - 1)
     psi = _initial_state(model, psi0, t_max, dt)
     seeds = range(seed0, seed0 + n_traj)
-    if n_workers is not None and n_workers > 1:
-        import concurrent.futures
-
-        chunks = [
-            (model, psi, t_max, seeds[part[0]:part[-1] + 1])
-            for part in np.array_split(np.arange(n_traj), n_workers)
-            if len(part)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            counts = np.concatenate(list(pool.map(_counts_block, chunks)), axis=0)
-    else:
-        counts = _counts_block((model, psi, t_max, seeds))
+    chunks = [
+        (model, psi, t_max, seeds[part[0]:part[-1] + 1])
+        for part in np.array_split(np.arange(n_traj), _pool_size(n_workers, n_traj))
+    ]
+    counts = np.concatenate(_fan_out(_counts_block, chunks, n_workers), axis=0)
 
     k = counts.astype(float)
     mean_k = k.mean(axis=0)

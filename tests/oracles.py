@@ -32,6 +32,54 @@ def generic_liouvillian(model):
     return out
 
 
+def generic_recycling(model):
+    """The jump part sum_k conj(L_k) (x) L_k, one explicit kron per jump."""
+    n = model.n
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for i, j, amp in model.jumps:
+        op = np.zeros((n, n), dtype=complex)
+        op[i, j] = amp
+        out += np.kron(op.conj(), op)
+    return out
+
+
+def limit_generator(model, mode):
+    """Dense generator of an extreme-tilt limit, the oracle for the
+    closed-form limit rows of ``scan --limit-mode``.
+
+    ``"inactive"``: the generator with every recycling term removed
+    (s -> +infinity); its leading eigenvalue must be -1.  ``"active"``:
+    the bare recycling map, i.e. the tilted generator rescaled by exp(s)
+    as s -> -infinity; its leading eigenvalue must be 1, and the
+    populations of its leading eigenvector give the jump profile.
+    """
+    if mode == "inactive":
+        return generic_liouvillian(model) - generic_recycling(model)
+    if mode == "active":
+        return generic_recycling(model)
+    raise ValueError(f"mode must be 'inactive' or 'active', got {mode!r}")
+
+
+def dense_active_limit_profile(model):
+    """Normalized active-limit jump rates from the dense recycling map:
+    the rate matrix applied to the populations of its leading eigenvector."""
+    n = model.n
+    vals, vecs = scipy.linalg.eig(limit_generator(model, "active"))
+    v = vecs[:, int(np.argmax(vals.real))]
+    pops = np.abs(np.diag(v.reshape((n, n), order="F")))
+    rate = model.jump_rate_matrix() @ pops
+    return rate / rate.sum()
+
+
+def effective_hamiltonian(model):
+    """Non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k, summed jump by
+    jump; it drives the deterministic stretches of jump trajectories."""
+    h = model.hamiltonian.astype(complex)
+    for _i, j, amp in model.jumps:
+        h[j, j] -= 0.5j * amp * amp
+    return h
+
+
 def generic_tilted(model, s):
     """Tilted generator assembled jump by jump with explicit exponentials."""
     n = model.n
@@ -109,7 +157,7 @@ def reconstruct_state(model, record, t, dt=0.01):
     so agreement of ensemble averages with evolve() checks both the
     sampler and the propagator at once.
     """
-    a = -1j * q.effective_hamiltonian(model)
+    a = -1j * effective_hamiltonian(model)
     psi = np.full(model.n, 1.0 / np.sqrt(model.n), dtype=complex)
     t_prev = 0.0
     for time, dst, src in record.jump_events:
@@ -192,7 +240,7 @@ def scalar_trajectory(model, t_max, dt, seed):
     the same order as :mod:`qswalk.jumps`.
     """
     n = model.n
-    a = -1j * q.effective_hamiltonian(model)
+    a = -1j * effective_hamiltonian(model)
     powers = [q.rk4_step_matrix(a, dt)]
     while (1 << len(powers)) * dt <= min(0.5, t_max) and len(powers) < 15:
         powers.append(powers[-1] @ powers[-1])

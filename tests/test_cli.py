@@ -114,12 +114,12 @@ def test_scan_limit_modes(two_node_file, capsys):
     rows = _rows(capsys.readouterr().out)
     assert len(rows) == 2
     assert float(rows[1][0]) == np.inf
-    assert float(rows[1][1]) == pytest.approx(-1.0, abs=1e-9)
+    assert float(rows[1][1]) == -1.0
 
     assert main(["scan", "--input", two_node_file, "--limit-mode", "active"]) == 0
     rows = _rows(capsys.readouterr().out)
     assert float(rows[1][0]) == -np.inf
-    assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-9)
+    assert float(rows[1][1]) == 1.0
     head = rows[0]
     row = dict(zip(head, rows[1]))
     # extreme-activity ranking equals pagerank
@@ -138,6 +138,44 @@ def test_scan_worker_env_matches_serial(two_node_file, tmp_path, monkeypatch):
     pool_out = tmp_path / "pool.csv"
     assert main(args + ["--output", str(pool_out)]) == 0
     assert serial_out.read_text() == pool_out.read_text()
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_worker_pool_is_no_larger_than_the_work(two_node_file, monkeypatch, capsys):
+    scan_args = ["scan", "--input", two_node_file, "--s-min", "-0.5", "--s-max", "0.5", "--s-steps", "4"]
+    sim_args = ["simulate", "--input", two_node_file, "--t-max", "5", "--n-traj", "2"]
+    assert main(scan_args) == 0 and main(sim_args) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setenv("QSWALK_WORKERS", "500")
+    assert main(scan_args) == 0 and main(sim_args) == 0
+    assert capsys.readouterr().out == serial
+    assert _InProcessPool.sizes == [4, 2]  # one worker per scan point, per trajectory
+
+
+def test_non_integer_worker_count_exits_2(two_node_file, monkeypatch, capsys):
+    monkeypatch.setenv("QSWALK_WORKERS", "two")
+    assert main(["pagerank", "--input", two_node_file]) == 2
+    assert capsys.readouterr().err == "qswalk: QSWALK_WORKERS must be an integer, got 'two'\n"
 
 
 # -- simulate -----------------------------------------------------------------

@@ -82,38 +82,6 @@ def test_model_validation():
         q.QswModel(n=2, hamiltonian=np.zeros((2, 2)), jumps=((1, 0, 1.0),))
 
 
-# -- dissipator pieces -------------------------------------------------------
-
-
-def test_dissipator_diagonal_is_identity(two_node_model, six_node_model):
-    # sum_k Ldag L = diag of column sums = identity for stochastic rates
-    for model in (two_node_model, six_node_model):
-        assert_allclose(q.dissipator_diagonal(model), np.ones(model.n), atol=1e-12)
-
-
-def test_effective_hamiltonian(two_node_model):
-    expected = two_node_model.hamiltonian - 0.5j * np.eye(2)
-    assert_allclose(q.effective_hamiltonian(two_node_model), expected, atol=1e-12)
-
-
-def test_recycling_scatters_rates_on_population_block(two_node_model):
-    r = q.recycling_superoperator(two_node_model)
-    rates = two_node_model.jump_rate_matrix()
-    n = two_node_model.n
-    expected = np.zeros((n * n, n * n))
-    diag = np.arange(n) * (n + 1)
-    expected[np.ix_(diag, diag)] = rates
-    assert_allclose(r, expected, atol=1e-15)
-
-
-def test_recycling_node_restriction(two_node_model):
-    r0 = q.recycling_superoperator(two_node_model, nodes=(0,))
-    r1 = q.recycling_superoperator(two_node_model, nodes=(1,))
-    full = q.recycling_superoperator(two_node_model)
-    assert_allclose(r0 + r1, full, atol=1e-15)
-    assert_allclose(r0[3, 3], 0.0, atol=1e-15)  # no dst-1 rate in r0
-
-
 # -- liouvillian -----------------------------------------------------------
 
 
@@ -144,10 +112,32 @@ def test_liouvillian_spectrum_contract(two_node_model, six_node_model, rng):
         assert np.sum(np.abs(spectrum) < 1e-9) == 1  # unique stationary mode
 
 
+def test_recycling_scatters_rates_on_population_block(two_node_model, six_node_model):
+    # the population block is G - I: recycled rates minus the decay that
+    # sum_k Ldag L = I gives every population
+    for model in (two_node_model, six_node_model):
+        n = model.n
+        diag = np.arange(n) * (n + 1)
+        block = q.liouvillian(model)[np.ix_(diag, diag)]
+        assert_allclose(block, model.jump_rate_matrix() - np.eye(n), atol=1e-15)
+
+
 def test_liouvillian_preserves_trace(two_node_model, six_node_model):
     for model in (two_node_model, six_node_model):
         left = q.vec(np.eye(model.n))
         assert_allclose(left @ q.liouvillian(model), 0.0, atol=1e-12)
+
+
+def test_liouvillian_trace_preserving_to_rounding_off_stochastic_rates():
+    # squared amplitudes of source 0 sum to 1 - 5e-13, inside the model's
+    # 1e-12 tolerance: the anticommutator must use those sums, not I
+    rates = np.array([[0.3, 0.4], [0.7 - 5e-13, 0.6]])
+    jumps = tuple(
+        (i, j, math.sqrt(rates[i, j])) for i in range(2) for j in range(2)
+    )
+    model = q.QswModel(n=2, hamiltonian=np.array([[0.0, 0.8], [0.8, 0.0]]), jumps=jumps)
+    left = q.vec(np.eye(2))
+    assert np.abs(left @ q.liouvillian(model)).max() <= 1e-15
 
 
 # -- steady_state ------------------------------------------------------------
@@ -317,7 +307,7 @@ def test_dense_size_budget_refuses_before_allocating():
     model = _complete_model(DENSE_NODE_LIMIT + 1)
     tracemalloc.start()
     try:
-        for build in (q.liouvillian, q.recycling_superoperator, q.steady_state):
+        for build in (q.liouvillian, q.steady_state):
             with pytest.raises(q.SizeBudgetError, match="limited to 64 nodes"):
                 build(model)
         with pytest.raises(q.SizeBudgetError):

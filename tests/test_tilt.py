@@ -15,11 +15,14 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 import qswalk as q
+from qswalk.cli import _limit_point
 from qswalk.lindblad import tilt_recycling
 from oracles import (
     classical_tilted_matrix,
+    dense_active_limit_profile,
     generic_tilted,
     leading_eigenvalue_scipy,
+    limit_generator,
     random_digraph,
 )
 
@@ -94,31 +97,57 @@ def test_per_jump_tilt_generic_oracle(two_node_model):
     )
 
 
-def test_inactive_nodes_zero_out_their_jump_gain(two_node_model):
-    w = q.tilted_superoperator(two_node_model, np.zeros(2), inactive_nodes=(0,))
-    expected = q.liouvillian(two_node_model) - q.recycling_superoperator(
-        two_node_model, nodes=(0,)
-    )
-    assert_allclose(w, expected, atol=1e-14)
-
-
 # -- limit generators ---------------------------------------------------------
 
 
 def test_limit_generators(two_node_model):
-    lio = q.liouvillian(two_node_model)
-    rec = q.recycling_superoperator(two_node_model)
-    assert_allclose(q.limit_generator(two_node_model, "inactive"), lio - rec, atol=1e-14)
-    assert_allclose(q.limit_generator(two_node_model, "active"), rec, atol=1e-14)
+    # the oracle's two limits split the library's generator: W_s is the
+    # inactive part plus exp(-sigma) times the active part
+    inactive = limit_generator(two_node_model, "inactive")
+    active = limit_generator(two_node_model, "active")
+    assert_allclose(inactive + active, q.liouvillian(two_node_model), atol=1e-14)
+    w = q.tilted_superoperator(two_node_model, q.uniform_tilt(two_node_model, 0.7))
+    assert_allclose(w, inactive + np.exp(-0.7) * active, atol=1e-14)
     with pytest.raises(ValueError):
-        q.limit_generator(two_node_model, "sideways")
+        limit_generator(two_node_model, "sideways")
 
 
 def test_inactive_limit_leading_eigenvalue_is_minus_one(two_node_model, six_node_model):
     # survival generator -iH_eff on both sides: decay rate exactly 1
     for model in (two_node_model, six_node_model):
-        lead = q.eig_general(q.limit_generator(model, "inactive")).leading_eigenvalue
+        lead = q.eig_general(limit_generator(model, "inactive")).leading_eigenvalue
         assert_allclose(lead.real, -1.0, atol=1e-10)
+
+
+def _strongly_connected_digraph(rng, n):
+    # a ring through every node keeps G irreducible even at damping 1,
+    # where the Perron vector is unique; the ring alone is periodic
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    mask = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+    edges |= {(int(u), int(v)) for u, v in zip(*np.nonzero(mask))}
+    return q.DirectedGraph(n=n, edges=frozenset(edges))
+
+
+def test_limit_rows_match_dense_oracle(two_node_graph, six_node_graph, rng):
+    star = q.DirectedGraph(n=3, edges=frozenset({(0, 1), (0, 2), (1, 0), (2, 0)}))
+    cases = [(two_node_graph, 0.85, 1.0), (six_node_graph, 0.85, 1.0), (star, 1.0, 1.0)]
+    for k in range(8):
+        g = _strongly_connected_digraph(rng, int(rng.integers(2, 7)))
+        damping = 1.0 if k % 2 else float(rng.uniform(0.5, 0.95))
+        cases.append((g, damping, float(rng.uniform(0.0, 2.0))))
+    for g, damping, cw in cases:
+        model = q.build_qsw(g, damping, cw)
+        for mode, theta in (("inactive", -1.0), ("active", 1.0)):
+            assert _limit_point(model, mode).theta == theta
+            lead = leading_eigenvalue_scipy(limit_generator(model, mode))
+            assert abs(lead.real - theta) <= 1e-12
+        alpha_norm = _limit_point(model, "active").alpha_norm
+        assert_allclose(alpha_norm, dense_active_limit_profile(model), rtol=0, atol=1e-12)
+    # the periodic star at damping 1, where power iteration never settles
+    assert_allclose(
+        q.active_limit_normalized_activity(q.build_qsw(star, 1.0)),
+        [0.5, 0.25, 0.25], rtol=0, atol=1e-15,
+    )
 
 
 def test_active_limit_ranking_is_pagerank(two_node_model, six_node_model, two_node_graph, six_node_graph):
