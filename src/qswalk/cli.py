@@ -5,9 +5,10 @@ dynamical activity vs. steady-state populations), ``scan`` (uniform-tilt
 thermodynamic scan), ``simulate`` (jump Monte Carlo ensemble).  All
 outputs are CSV with a header row; ``--output -`` (the default) writes
 to stdout.  Exit codes: 0 success, 2 usage/input error, 3 numerical
-failure or a model too large for the dense generator.  The environment
-variable ``QSWALK_WORKERS`` sets the process count for scans and
-ensembles (default: serial).
+failure or a model too large for the dense generator (only ``scan``
+grids and ``simulate`` build it).  The environment variable
+``QSWALK_WORKERS`` sets the process count for scans and ensembles
+(default: serial).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graph import google_matrix, pagerank, parse_edge_list
 from .lindblad import build_qsw, steady_state
 from .tilt import (
     _observables,
-    activity,
+    activity,  # unused here; perfbench still patches qswalk.cli.activity
     active_limit_normalized_activity,
     dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
     scan,
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ranks = command("ranks", "pagerank vs. activity at s=0 vs. steady-state populations")
     p_ranks.add_argument("--coherent-weight", type=float)
-    p_ranks.add_argument("--fd-step", type=float)
+    p_ranks.add_argument("--fd-step", type=float, help="accepted and checked; ranks takes no derivative")
 
     p_scan = command("scan", "thermodynamic scan over uniform tilts")
     p_scan.add_argument("--coherent-weight", type=float)
@@ -163,8 +164,8 @@ def cmd_ranks(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     model = build_qsw(g, cfg.damping, cfg.coherent_weight)
     pi = pagerank(google_matrix(g, cfg.damping))
-    act = activity(model, np.zeros(g.n), h=cfg.fd_step)
     pop = np.real(np.diag(steady_state(model)))
+    act = model.jump_rate_matrix() @ pop  # stationary jump rates; --fd-step is unused
     with _open_output(cfg.output) as fp:
         qio.write_ranks_csv(fp, pi, act, pop)
     return EXIT_OK

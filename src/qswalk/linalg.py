@@ -38,6 +38,7 @@ ComplexMatrix = np.ndarray
 
 _REAL_PART_TIE = 1e-10  # eigenvalues closer than this in Re are tied
 _RESIDUAL_FACTOR = 1e-8  # eigenpair residual bound, relative to ||M||_F
+_SHIFT_FACTOR = 8.0 * np.finfo(float).eps  # inverse-iteration shift, relative to ||M||_F
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,12 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     pairs).  The returned eigenvector has unit 2-norm and residual
     ``||Mv - lambda v||_2 <= 1e-8 * ||M||_F``.
 
-    Backed by LAPACK's Hessenberg + shifted-QR driver via
-    ``numpy.linalg.eig``.  Real input stays real and goes to the real
-    driver (``dgeev``), whose complex eigenvalues come in exact
-    conjugate pairs; only complex input is solved in complex arithmetic.
+    The spectrum comes from LAPACK's Hessenberg + shifted-QR driver
+    without eigenvectors (``numpy.linalg.eigvals``).  Real input stays
+    real and goes to the real driver (``dgeev``), whose complex
+    eigenvalues come in exact conjugate pairs; only complex input is
+    solved in complex arithmetic.  The leading eigenvector alone is then
+    taken by inverse iteration (:func:`_eigenvector`).
     """
     m = _real_or_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -95,16 +98,14 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
 
+    scale = np.linalg.norm(m)  # Frobenius
     try:
-        values, vectors = np.linalg.eig(m)
+        values = np.linalg.eigvals(m)
+        lead = _select_leading(values)
+        v = _eigenvector(m, values[lead], scale)
     except np.linalg.LinAlgError as exc:  # QR failed to converge
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    lead = _select_leading(values)
-    v = vectors[:, lead]
-    v = v / np.linalg.norm(v)
-
-    scale = np.linalg.norm(m)  # Frobenius
     residual = np.linalg.norm(m @ v - values[lead] * v)
     if scale > 0 and residual > _RESIDUAL_FACTOR * scale:
         raise ConvergenceError(
@@ -115,6 +116,28 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
         leading_right_eigenvector=v,
         full_spectrum=values,
     )
+
+
+def _eigenvector(m: np.ndarray, lam, scale: float) -> np.ndarray:
+    """Unit eigenvector of ``m`` (Frobenius norm ``scale``) for its
+    computed eigenvalue ``lam``.
+
+    One step of inverse iteration from a fixed generic start: a solve
+    with ``m - (lam + d) I``, where the shift d of a few units in the
+    last place of ``||M||_F`` keeps the factorization regular (even for
+    an exact eigenvalue) and makes ``lam``'s eigenvector dominate the
+    others by a factor of about gap / d.  Should the shifted matrix still
+    be exactly singular, its null vector is the eigenvector.
+    """
+    size = m.shape[0]
+    shifted = m - (lam + _SHIFT_FACTOR * (scale or 1.0)) * np.eye(size)
+    try:
+        # cos(1..size): no rational vector, e.g. a left eigenvector of an
+        # integer matrix, is orthogonal to it
+        v = np.linalg.solve(shifted, np.cos(np.arange(1.0, size + 1.0)))
+    except np.linalg.LinAlgError:  # singular to working precision (defective lam)
+        v = np.linalg.svd(shifted)[2][-1].conj()
+    return v / np.linalg.norm(v)
 
 
 def _select_leading(values: np.ndarray) -> int:
@@ -159,17 +182,6 @@ def to_hermitian_basis(m: ComplexMatrix) -> np.ndarray:
     if np.abs(x.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(x.real).max()):
         raise ValueError("superoperator does not preserve Hermiticity")
     return np.ascontiguousarray(x.real)
-
-
-def from_hermitian_basis(x: np.ndarray) -> np.ndarray:
-    """``vec(rho)`` of the matrix whose Hermitian-basis coordinates are
-    ``x`` (``U^dag x``); real ``x`` gives a Hermitian ``rho``."""
-    v = np.array(x, dtype=complex)
-    p, q = _hermitian_pairs(v.size)
-    r = math.sqrt(0.5)
-    a, b = v[p], v[q]
-    v[p], v[q] = (a - 1j * b) * r, (a + 1j * b) * r
-    return v
 
 
 def null_vector(m: ComplexMatrix, tol: float = 1e-9) -> np.ndarray:

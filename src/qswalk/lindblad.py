@@ -23,6 +23,15 @@ orthonormal Hermitian basis (``QswModel.hermitian_generator``), built at
 first use and cached; the populations keep their indices i*(n+1) there,
 so :func:`tilt_recycling` reweights jumps in either form.  Models above
 ``DENSE_NODE_LIMIT`` nodes are refused before any superoperator is built.
+
+The steady state needs no superoperator.  Since sum_k L_k^dag L_k = I,
+between jumps a state decays at rate 1 under -i[H, .], and every jump
+lands on a population.  So a stationary rho is fixed by the jump rates
+a = G diag(rho) alone, and a is the Perron vector of the n x n
+column-stochastic matrix G M(1).  The spreading kernel
+M(1)[j, d] = int_0^inf e^{-t} |<j|e^{-iHt}|d>|^2 dt is doubly stochastic,
+so G M(1) is a classical pagerank chain composed with coherent spreading
+(:func:`steady_state`: O(n^4) time, O(n^2) memory, no size limit).
 """
 
 from __future__ import annotations
@@ -35,14 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, SizeBudgetError
 from .graph import DEFAULT_DAMPING, DirectedGraph, google_matrix, symmetrized_adjacency
-from .linalg import (
-    from_hermitian_basis,
-    integrate_linear,
-    null_vector,
-    to_hermitian_basis,
-    unvec,
-    vec,
-)
+from .linalg import integrate_linear, null_vector, to_hermitian_basis, unvec, vec
 
 # Aliases in the spirit of linalg.ComplexMatrix: a DensityMatrix is an
 # n x n complex ndarray (Hermitian, unit trace), a Superoperator an
@@ -197,29 +199,61 @@ def liouvillian(model: QswModel) -> Superoperator:
     return lmat
 
 
-def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
-    """Unique stationary density matrix of the walk.
+def _spreading_kernel(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The n x n matrix M(1) = int_0^inf e^{-t} |<j|e^{-iHt}|d>|^2 dt for
+    H = V diag(lam) V^T.
 
-    Computed as the kernel vector of the real Hermitian-basis generator,
-    trace-normalized (the populations are its coordinates i*(n+1)) and
-    mapped back to a complex density matrix, Hermitian by construction.
-    Degenerate kernels (non-relaxing dynamics, only possible without
-    damping) surface as :class:`DegeneracyError`.
+    M[j, d] is the probability that a walker put on node d by a jump is
+    on node j when its next jump fires:
+    M[j, d] = sum_ab V_ja V_da V_jb V_db / (1 + (lam_a - lam_b)^2).  It is
+    doubly stochastic and does not depend on the choice of eigenbasis.
+    Built one row at a time in O(n^2) workspace.
     """
-    w = model.hermitian_generator
-    x = null_vector(w, tol=tol).real  # a simple zero eigenvalue of a real matrix is real
-    tr = x[:: model.n + 1].sum()
+    w = 1.0 / (1.0 + np.subtract.outer(lam, lam) ** 2)
+    m = np.empty((lam.size, lam.size))
+    for j in range(lam.size):
+        p = v[j] * v  # p[d, a] = V_ja V_da
+        m[j] = ((p @ w) * p).sum(axis=1)
+    return m
+
+
+def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
+    """Unique stationary density matrix of the walk, from n x n problems.
+
+    The stationary jump rates a = G diag(rho) are the Perron vector of
+    G M(1) (the spreading kernel of the module docstring), scaled to
+    unit sum, which is rho's trace.  Then rho solves
+    rho + i[H, rho] = diag(a): in the eigenbasis H = V diag(lam) V^T it
+    is V^T diag(a) V divided elementwise by 1 + i(lam_a - lam_b).  The
+    result is made exactly Hermitian, and its Lindblad residual is
+    checked without assembling the generator.  A kernel of G M(1) - I
+    that is not simple (G with several closed classes, only possible
+    without damping) surfaces as :class:`DegeneracyError`.
+    """
+    h = model.hamiltonian
+    g = model.jump_rate_matrix()
+    lam, v = np.linalg.eigh(h)
+    a = null_vector(g @ _spreading_kernel(lam, v) - np.eye(model.n), tol=tol).real
+    tr = a.sum()
     if abs(tr) < 1e-6:
         raise DegeneracyError(
             "kernel vector is nearly traceless; no normalizable steady state"
         )
-    x = x / tr
-    residual = np.linalg.norm(w @ x)  # U is unitary: equals ||L vec(rho)||
+    a = a / tr
+    rho = v @ (((v.T * a) @ v) / (1.0 + 1j * np.subtract.outer(lam, lam))) @ v.T
+    rho = 0.5 * (rho + rho.conj().T)
+    d = g.sum(axis=0)  # the diagonal of sum_k L_k^dag L_k
+    generated = (
+        -1j * (h @ rho - rho @ h)
+        + np.diag(g @ rho.diagonal())
+        - 0.5 * (d[:, None] * rho + rho * d)
+    )
+    residual = np.linalg.norm(generated)  # equals ||L vec(rho)||
     if residual > _STEADY_RESIDUAL_TOL:
         raise ConvergenceError(
             f"steady-state residual {residual:.3e} exceeds {_STEADY_RESIDUAL_TOL:g}"
         )
-    return unvec(from_hermitian_basis(x))
+    return rho
 
 
 def evolve(model: QswModel, rho0: DensityMatrix, t: float, dt: float = 1e-3) -> DensityMatrix:

@@ -24,6 +24,9 @@ jumps left (all s_i -> +infinity) the norm decays at rate 1, theta = -1;
 rescaled by exp(s) as s -> -infinity the generator is the bare recycling
 map, with theta = 1 and the Perron vector of the jump-rate matrix G as
 its jump profile (:func:`active_limit_normalized_activity`, n x n).
+The activity at s = 0 also has a derivative-free form, the stationary
+jump rates (:func:`activity_from_steady_state`); the finite-difference
+path stays as the independent route.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ from .errors import ConvergenceError, QswError, ZeroActivityError
 from .lindblad import (
     QswModel,
     Superoperator,
+    check_dense_budget,
     liouvillian,
     steady_state,
     tilt_recycling,
 )
-from .linalg import eig_general
+from .linalg import eig_general, null_vector
 
 # Conjugate fields, one per node; plain 1-d float ndarray.
 TiltVector = np.ndarray
@@ -133,10 +137,12 @@ def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
     The rescaled generator is the bare recycling map: the jump-rate
     matrix G on the populations, zero on coherences.  Jumps then land on
     node i at a rate proportional to (G|v|)_i for the Perron vector v of
-    G, solved directly, so periodic damping-1 graphs need no iteration.
+    G, the kernel of G - I, solved directly, so periodic damping-1 graphs
+    need no iteration.  A G with several closed classes has no unique
+    profile and raises :class:`DegeneracyError`.
     """
     rates = model.jump_rate_matrix()
-    rate = rates @ np.abs(eig_general(rates).leading_right_eigenvector)
+    rate = rates @ np.abs(null_vector(rates - np.eye(model.n)))
     total = rate.sum()
     if total <= _ACTIVITY_FLOOR:
         raise ZeroActivityError("active-limit jump profile has vanishing total rate")
@@ -292,11 +298,13 @@ def scan(
 
     Points are independent; with ``n_workers`` > 1 they are distributed
     over a process pool and gathered back in input order.  A failing
-    point records its error instead of aborting the scan.
+    point records its error instead of aborting the scan; a model too
+    large for the dense generator raises :class:`SizeBudgetError` first.
     """
     if len(s_grid) == 0:
         raise ValueError("s_grid must be non-empty")
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
+    check_dense_budget(model.n)
     jobs = [(model, s, h, self_check) for s in s_grid]
     return _fan_out(_scan_worker, jobs, n_workers)

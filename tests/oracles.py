@@ -117,6 +117,30 @@ def hermitian_basis_unitary(n):
     return u
 
 
+def from_hermitian_basis(x):
+    """``vec(rho)`` of the matrix whose Hermitian-basis coordinates are
+    ``x`` (``U^dag x`` for the ``U`` of :func:`hermitian_basis_unitary`,
+    applied pairwise); real ``x`` gives a Hermitian ``rho``."""
+    v = np.array(x, dtype=complex)
+    n = math.isqrt(v.size)
+    k, l = np.triu_indices(n, 1)
+    upper, lower = k + n * l, l + n * k
+    r = math.sqrt(0.5)
+    a, b = v[upper], v[lower]
+    v[upper], v[lower] = (a - 1j * b) * r, (a + 1j * b) * r
+    return v
+
+
+def dense_steady_state(model, tol=1e-9):
+    """Stationary density matrix as the kernel of the dense n^2 x n^2
+    generator: the null vector of the real Hermitian-basis Liouvillian,
+    trace-normalized by its population coordinates i*(n+1) and mapped
+    back to a complex matrix."""
+    x = q.null_vector(model.hermitian_generator, tol=tol).real
+    x = x / x[:: model.n + 1].sum()
+    return q.unvec(from_hermitian_basis(x))
+
+
 def classical_tilted_matrix(g, s, damping=0.85):
     """n x n tilted rate matrix diag(exp(-s)) @ G - I for the classical chain.
 

@@ -77,6 +77,52 @@ def test_ranks_classical_weight_collapses_columns(two_node_file, capsys):
     assert_allclose(table[:, 3], table[:, 1], atol=1e-9)
 
 
+def _ranks_table(text):
+    return np.array([[float(c) for c in r] for r in _rows(text)[1:]])
+
+
+def test_ranks_activity_matches_finite_differences(tmp_path, capsys):
+    # activity0 is the stationary jump rate G @ population; the FD slope
+    # of theta at s = 0 is the independent route to the same vector
+    rng = np.random.default_rng(16)
+    edges = {(k, (k + 1) % 16) for k in range(16)}
+    while len(edges) < 48:
+        edges.add((int(rng.integers(16)), int(rng.integers(16))))
+    random16 = tmp_path / "random16.edges"
+    random16.write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)))
+    data = Path(q.__file__).parent / "data"
+    for path in (data / "two_node.edges", data / "six_node.edges", random16):
+        assert main(["ranks", "--input", str(path)]) == 0
+        table = _ranks_table(capsys.readouterr().out)
+        model = q.build_qsw(q.parse_edge_list(path.read_text()))
+        assert_allclose(table[:, 2], q.activity(model, np.zeros(model.n)), rtol=0, atol=1e-8)
+        assert_allclose(table[:, 3].sum(), 1.0, atol=1e-12)
+
+
+def test_ranks_fd_step_is_checked_but_not_used(two_node_file, capsys):
+    assert main(["ranks", "--input", two_node_file]) == 0
+    default = capsys.readouterr().out
+    assert main(["ranks", "--input", two_node_file, "--fd-step", "1e-3"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["ranks", "--input", two_node_file, "--fd-step", "0"]) == 2
+
+
+def test_ranks_runs_past_the_dense_limit(tmp_path, capsys):
+    # the 200-node model the dense generator refuses (about 24 GiB)
+    big = tmp_path / "big.edges"
+    big.write_text("n 200\n0 1\n1 2\n")
+    tracemalloc.start()
+    try:
+        assert main(["ranks", "--input", str(big)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = _ranks_table(capsys.readouterr().out)
+    assert table.shape == (200, 4)
+    assert_allclose(table[:, 3].sum(), 1.0, atol=1e-12)
+    assert peak < 100 << 20
+
+
 # -- scan ---------------------------------------------------------------------
 
 
@@ -304,7 +350,7 @@ def test_model_over_dense_budget_exits_3(tmp_path, capsys):
     big.write_text("n 200\n0 1\n1 2\n")
     tracemalloc.start()
     try:
-        assert main(["ranks", "--input", str(big)]) == 3
+        assert main(["scan", "--input", str(big), "--s-steps", "3"]) == 3
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +386,29 @@ def test_degenerate_model_exits_3(tmp_path, capsys):
     disc.write_text("0 1\n1 0\n2 3\n3 2\n")
     code = main(["ranks", "--input", str(disc), "--damping", "1.0"])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "kernel dimension 2" in err
+
+
+def test_active_limit_needs_a_single_closed_class(tmp_path, capsys):
+    # every mixture of the two cycles' Perron vectors is a leading
+    # vector of G, so no jump profile may be printed
+    disc = tmp_path / "disconnected.edges"
+    disc.write_text("0 1\n1 0\n2 3\n3 2\n")
+    args = ["scan", "--input", str(disc), "--damping", "1.0", "--limit-mode", "active"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kernel dimension 2" in captured.err
+    # one closed class that is periodic still has a unique profile
+    star = tmp_path / "star.edges"
+    star.write_text("0 1\n0 2\n1 0\n2 0\n")
+    args = ["scan", "--input", str(star), "--damping", "1.0", "--limit-mode", "active"]
+    assert main(args) == 0
+    row = dict(zip(*_rows(capsys.readouterr().out)))
+    alpha_norm = [float(row[f"alpha_norm_{k}"]) for k in (1, 2, 3)]
+    assert_allclose(alpha_norm, [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
 
 
 def test_unknown_command_exits_2():

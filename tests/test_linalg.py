@@ -107,13 +107,13 @@ def test_eig_tie_break_prefers_smaller_imaginary_magnitude():
 
 def test_eig_real_input_matches_complex_input(rng, monkeypatch):
     solved = []
-    real_eig = np.linalg.eig
+    real_eigvals = np.linalg.eigvals
 
     def spy(m):
         solved.append(m.dtype)
-        return real_eig(m)
+        return real_eigvals(m)
 
-    monkeypatch.setattr(np.linalg, "eig", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
     for size in (2, 5, 9):
         m = rng.normal(size=(size, size))
         real = q.eig_general(m)
@@ -126,6 +126,23 @@ def test_eig_real_input_matches_complex_input(rng, monkeypatch):
         v, w = real.leading_right_eigenvector, cplx.leading_right_eigenvector
         assert_allclose(abs(np.vdot(v, w)), 1.0, atol=1e-10)
     assert q.eig_general(np.diag([1, 3, 2])).leading_eigenvalue == 3.0  # ints go real
+
+
+def test_eig_vector_on_awkward_exact_spectra():
+    cases = [
+        # left eigenvector (1, -2) of lambda = 1 is orthogonal to (1, 1/2)
+        (np.array([[-1.0, 0.0], [-1.0, 1.0]]), 1.0, [0.0, 1.0]),
+        # defective -1: the shifted matrix is singular in floating point
+        (np.array([[0.0, 1.0], [-1.0, -2.0]]), -1.0, [1.0, -1.0]),
+        (np.diag([1.0, 3.0, 2.0]), 3.0, [0.0, 1.0, 0.0]),
+    ]
+    for m, lam, vec in cases:
+        res = q.eig_general(m)
+        assert_allclose(res.leading_eigenvalue, lam, atol=1e-12)
+        v = res.leading_right_eigenvector
+        vec = np.array(vec) / np.linalg.norm(vec)
+        assert_allclose(abs(np.vdot(v, vec)), 1.0, atol=1e-12)
+        assert np.linalg.norm(m @ v - lam * v) <= 1e-8 * np.linalg.norm(m)
 
 
 # -- null_vector -----------------------------------------------------------

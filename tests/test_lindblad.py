@@ -16,9 +16,11 @@ from numpy.testing import assert_allclose
 
 import qswalk as q
 from qswalk.lindblad import DENSE_NODE_LIMIT, check_dense_budget
-from qswalk.linalg import from_hermitian_basis, to_hermitian_basis
+from qswalk.linalg import to_hermitian_basis
 from oracles import (
+    dense_steady_state,
     expm_propagate,
+    from_hermitian_basis,
     generic_liouvillian,
     hermitian_basis_unitary,
     random_digraph,
@@ -183,6 +185,62 @@ def test_steady_state_random_models(rng):
         assert np.abs(q.liouvillian(model) @ q.vec(rho)).max() < 1e-8
 
 
+def test_steady_state_matches_dense_kernel(two_node_graph, six_node_graph, rng):
+    complete5 = q.DirectedGraph(
+        n=5, edges=frozenset((i, j) for i in range(5) for j in range(5) if i != j)
+    )
+    # K5's H has the eigenvalue -1 four times: rho must not depend on
+    # the eigenbasis eigh picks inside that eigenspace
+    assert np.sum(np.isclose(np.linalg.eigvalsh(q.symmetrized_adjacency(complete5)), -1.0)) == 4
+    models = [
+        q.build_qsw(two_node_graph),
+        q.build_qsw(six_node_graph),
+        q.build_qsw(six_node_graph, coherent_weight=0.0),
+        q.build_qsw(complete5),
+    ]
+    for _ in range(20):
+        g = random_digraph(rng, n_max=8)
+        models.append(q.build_qsw(g, coherent_weight=float(rng.uniform(0.0, 2.0))))
+    for model in models:
+        assert_allclose(q.steady_state(model), dense_steady_state(model), rtol=0, atol=1e-12)
+
+
+def test_steady_state_refuses_several_closed_classes():
+    # two 2-cycles, no teleportation: the kernel of G M(1) - I is 2-d
+    g = q.parse_edge_list("0 1\n1 0\n2 3\n3 2\n")
+    with pytest.raises(q.DegeneracyError, match="kernel dimension 2"):
+        q.steady_state(q.build_qsw(g, damping=1.0))
+
+
+def test_steady_state_flags_a_wrong_rate_vector(six_node_model, monkeypatch):
+    # the Lindblad residual, not the renewal fixed point, is checked: a
+    # rate vector off by 1e-6 gives a trace-1 Hermitian rho that is not
+    # stationary
+    exact = q.null_vector
+
+    def perturbed(m, tol):
+        v = exact(m, tol=tol).real.copy()
+        v[0] += 1e-6
+        return v
+
+    monkeypatch.setattr("qswalk.lindblad.null_vector", perturbed)
+    with pytest.raises(q.ConvergenceError, match="steady-state residual"):
+        q.steady_state(six_node_model)
+
+
+def test_steady_state_needs_no_dense_generator():
+    model = _complete_model(DENSE_NODE_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        rho = q.steady_state(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "hermitian_generator" not in vars(model)
+    assert_allclose(np.diag(rho).real, np.full(model.n, 1.0 / model.n), atol=1e-12)
+    assert peak < 4 << 20  # O(n^2): a few n x n matrices, no n^2 x n^2 one
+
+
 # -- evolve ------------------------------------------------------------------
 
 
@@ -307,9 +365,8 @@ def test_dense_size_budget_refuses_before_allocating():
     model = _complete_model(DENSE_NODE_LIMIT + 1)
     tracemalloc.start()
     try:
-        for build in (q.liouvillian, q.steady_state):
-            with pytest.raises(q.SizeBudgetError, match="limited to 64 nodes"):
-                build(model)
+        with pytest.raises(q.SizeBudgetError, match="limited to 64 nodes"):
+            q.liouvillian(model)
         with pytest.raises(q.SizeBudgetError):
             model.hermitian_generator
         _, peak = tracemalloc.get_traced_memory()
