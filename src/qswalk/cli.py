@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ranks = command("ranks", "pagerank vs. activity at s=0 vs. steady-state populations")
     p_ranks.add_argument("--coherent-weight", type=float)
-    p_ranks.add_argument("--fd-step", type=float, help="accepted and checked; ranks takes no derivative")
 
     p_scan = command("scan", "thermodynamic scan over uniform tilts")
     p_scan.add_argument("--coherent-weight", type=float)
@@ -165,7 +164,7 @@ def cmd_ranks(cfg: RunConfig) -> int:
     model = build_qsw(g, cfg.damping, cfg.coherent_weight)
     pi = pagerank(google_matrix(g, cfg.damping))
     pop = np.real(np.diag(steady_state(model)))
-    act = model.jump_rate_matrix() @ pop  # stationary jump rates; --fd-step is unused
+    act = model.rates @ pop  # stationary jump rates
     with _open_output(cfg.output) as fp:
         qio.write_ranks_csv(fp, pi, act, pop)
     return EXIT_OK

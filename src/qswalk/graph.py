@@ -48,8 +48,8 @@ class DirectedGraph:
     def out_adjacency(self) -> np.ndarray:
         """0/1 matrix with entry (u, v) = 1 iff the edge u -> v exists."""
         a = np.zeros((self.n, self.n))
-        for (src, dst) in self.edges:
-            a[src, dst] = 1.0
+        src, dst = np.array(tuple(self.edges), dtype=np.intp).reshape(-1, 2).T
+        a[src, dst] = 1.0
         return a
 
 
@@ -143,13 +143,10 @@ def google_matrix(g: DirectedGraph, damping: float = DEFAULT_DAMPING) -> Stochas
     n = g.n
     a = g.out_adjacency()
     out_deg = a.sum(axis=1)
-    s = np.empty((n, n))
-    for j in range(n):
-        if out_deg[j] > 0:
-            s[:, j] = a[j, :] / out_deg[j]
-        else:
-            s[:, j] = 1.0 / n
-    return damping * s + (1.0 - damping) / n
+    dangling = out_deg == 0
+    s = np.where(dangling, 1.0 / n, a.T / np.where(dangling, 1.0, out_deg))
+    # C order, as consumers sum and multiply it row by row
+    return np.ascontiguousarray(damping * s + (1.0 - damping) / n)
 
 
 def pagerank(

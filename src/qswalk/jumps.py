@@ -52,13 +52,13 @@ def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class JumpEngine:
-    """Eigenbasis of H and the jump table of one model."""
+    """Eigenbasis of H and the rate matrix of one model."""
 
     def __init__(self, model: QswModel):
         self.n = model.n
         self.lam, self.v = np.linalg.eigh(model.hamiltonian)
         self.cols = self.v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
-        self.rates = model.jump_rate_matrix().reshape(-1, 1)  # row i*n + j: j -> i
+        self.rates = model.rates.reshape(-1, 1)  # row i*n + j: j -> i
 
     def draws(self, gen: np.random.Generator, seed: int, chunk: int):
         """One lane's next ``_ROUNDS`` waiting times, jump uniforms and

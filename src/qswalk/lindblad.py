@@ -3,7 +3,9 @@
 A model couples a coherent hop Hamiltonian (the de-directed adjacency,
 scaled by ``coherent_weight``) with incoherent hops between nodes at the
 Google-matrix rates: the jump operator for the move j -> i is
-``sqrt(G_ij) |i><j|``.  The generator acts on density matrices as
+L_ij = A_ij |i><j| with A_ij = sqrt(G_ij), so all jumps of a model are
+one n x n amplitude matrix A (``QswModel.amplitudes``; a zero entry is
+no jump).  The generator acts on density matrices as
 
     d(rho)/dt = -i[H, rho] + sum_k L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho}
 
@@ -13,10 +15,10 @@ and is materialized as an n^2 x n^2 matrix over column-stacked states,
         - 1/2 (I (x) L_k^dag L_k + (L_k^dag L_k)^T (x) I).
 
 Because every jump operator here has a single nonzero entry, the sums
-collapse: the recycling part scatters the rate matrix onto the
-population block, and sum_k L_k^dag L_k is the diagonal matrix of
-column sums of the rates (the identity whenever the rate matrix is
-column-stochastic).
+collapse to array expressions: the recycling part adds the rate matrix
+R = A * A (elementwise) to the population block, the rows and columns
+i*(n+1), and sum_k L_k^dag L_k is the diagonal matrix of column sums of
+R (the identity whenever R is column-stochastic).
 
 Each model also carries the same generator as a real matrix in the
 orthonormal Hermitian basis (``QswModel.hermitian_generator``), built at
@@ -36,7 +38,6 @@ so G M(1) is a classical pagerank chain composed with coherent spreading
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,46 +64,54 @@ DENSE_NODE_LIMIT = 64
 class QswModel:
     """Quantum stochastic walk: Hamiltonian plus single-entry jumps.
 
-    ``jumps`` is a tuple of (destination i, source j, amplitude) with
-    amplitude = sqrt(rate of j -> i); every strictly positive rate of
-    the generating stochastic matrix appears (no amplitude cutoff), in
-    destination-major order.
+    ``amplitudes[i, j]`` = sqrt(rate of j -> i) is the one nonzero entry
+    of the jump operator for j -> i; a zero entry means no jump.  Both
+    fields are n x n float arrays, copied on construction and read-only.
+    The squared amplitudes (``rates``) must sum to 1 per source node.
     """
 
-    n: int
     hamiltonian: np.ndarray
-    jumps: tuple
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=float)
-        if h.shape != (self.n, self.n):
-            raise ValueError(f"hamiltonian shape {h.shape} does not match n={self.n}")
+        for name in ("hamiltonian", "amplitudes"):
+            a = np.array(getattr(self, name), dtype=float, order="C")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        h, amp = self.hamiltonian, self.amplitudes
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
         if not np.array_equal(h, h.T):
             raise ValueError("hamiltonian must be exactly symmetric")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(self.jumps))
-        col_sums = np.zeros(self.n)
-        for (i, j, amp) in self.jumps:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"jump ({i}, {j}) out of range for n={self.n}")
-            if not amp > 0:
-                raise ValueError(f"jump amplitude must be positive, got {amp}")
-            col_sums[j] += amp * amp
-        if np.abs(col_sums - 1.0).max() > 1e-12:
+        if amp.shape != h.shape:
+            raise ValueError(f"amplitudes shape {amp.shape} does not match hamiltonian {h.shape}")
+        if not (np.isfinite(amp).all() and (amp >= 0).all()):
+            raise ValueError("jump amplitudes must be finite and non-negative")
+        worst = np.abs(self.rates.sum(axis=0) - 1.0).max()
+        if worst > 1e-12:
             raise ValueError(
                 "squared jump amplitudes must sum to 1 per source node "
-                f"(worst deviation {np.abs(col_sums - 1.0).max():.3e})"
+                f"(worst deviation {worst:.3e})"
             )
 
     @property
-    def n_jumps(self) -> int:
-        return len(self.jumps)
+    def n(self) -> int:
+        return self.hamiltonian.shape[0]
 
     @cached_property
-    def jump_table(self) -> tuple:
-        """``jumps`` as arrays: (destinations, sources, amplitudes)."""
-        dest, src, amp = zip(*self.jumps)
-        return np.array(dest), np.array(src), np.array(amp, dtype=float)
+    def rates(self) -> np.ndarray:
+        """Read-only rate matrix R = amplitudes**2, R[i, j] the rate of
+        j -> i (column-stochastic)."""
+        r = self.amplitudes * self.amplitudes
+        r.flags.writeable = False
+        return r
+
+    @property
+    def jumps(self) -> tuple:
+        """(destination i, source j, amplitude) of every jump, in
+        destination-major order."""
+        dest, src = np.nonzero(self.amplitudes)
+        return tuple(zip(dest.tolist(), src.tolist(), self.amplitudes[dest, src].tolist()))
 
     @cached_property
     def hermitian_generator(self) -> np.ndarray:
@@ -112,16 +121,10 @@ class QswModel:
         w.flags.writeable = False
         return w
 
-    def __getstate__(self):
-        # the cached generator is rebuilt on demand, not shipped to workers
-        return {k: v for k, v in self.__dict__.items() if k != "hermitian_generator"}
-
-    def jump_rate_matrix(self) -> np.ndarray:
-        """Rate matrix R with R[i, j] = amplitude(i, j)^2 (column-stochastic)."""
-        r = np.zeros((self.n, self.n))
-        for (i, j, amp) in self.jumps:
-            r[i, j] = amp * amp
-        return r
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only again, and the cached
+        # generator is rebuilt on demand, not shipped to workers
+        return QswModel, (self.hamiltonian, self.amplitudes)
 
 
 def build_qsw(
@@ -132,21 +135,14 @@ def build_qsw(
     """Assemble the walk model for a directed graph.
 
     H is ``coherent_weight`` times the de-directed 0/1 adjacency (zero
-    diagonal); jump amplitudes are square roots of the Google-matrix
-    entries, one jump per strictly positive entry.  coherent_weight = 0
-    yields the purely classical dissipative walk.
+    diagonal); jump amplitudes are the square roots of the Google-matrix
+    entries, so every strictly positive entry is a jump.
+    coherent_weight = 0 yields the purely classical dissipative walk.
     """
     if coherent_weight < 0:
         raise ValueError(f"coherent_weight must be >= 0, got {coherent_weight}")
     h = coherent_weight * symmetrized_adjacency(g)
-    rates = google_matrix(g, damping)
-    jumps = tuple(
-        (i, j, math.sqrt(rates[i, j]))
-        for i in range(g.n)
-        for j in range(g.n)
-        if rates[i, j] > 0.0
-    )
-    return QswModel(n=g.n, hamiltonian=h, jumps=jumps)
+    return QswModel(h, np.sqrt(google_matrix(g, damping)))
 
 
 def check_dense_budget(n: int) -> None:
@@ -160,20 +156,18 @@ def check_dense_budget(n: int) -> None:
         )
 
 
-def tilt_recycling(w: np.ndarray, model: QswModel, factors: np.ndarray) -> np.ndarray:
+def tilt_recycling(w: np.ndarray, model: QswModel, factors) -> np.ndarray:
     """Reweight the recycling terms of generator ``w`` in place; returns ``w``.
 
-    Jump k (the k-th entry of ``model.jumps``, j -> i) has its term at
-    (i*(n+1), j*(n+1)) scaled by ``factors[k]``, i.e. that entry gains
-    (factors[k] - 1) * R_ij.  The populations sit on those indices both
-    over column-stacked states and in the Hermitian basis, so ``w`` may be
-    either form.  Entries whose factor is exactly 1 are left untouched.
+    ``factors`` broadcasts to n x n: the jump j -> i has its term at
+    (i*(n+1), j*(n+1)) scaled by ``factors[i, j]``, i.e. that entry gains
+    (factors[i, j] - 1) * amplitudes[i, j]**2.  Per-node counting passes
+    ``exp(-s)[:, None]``, per-jump counting ``exp(-s_matrix)``.  The
+    populations sit on those indices both over column-stacked states and
+    in the Hermitian basis, so ``w`` may be either form.
     """
-    dest, src, amp = model.jump_table
-    keep = factors != 1.0
-    pop = np.arange(model.n) * (model.n + 1)
-    gain = (factors[keep] - 1.0) * amp[keep] * amp[keep]
-    np.add.at(w, (pop[dest[keep]], pop[src[keep]]), gain)
+    a = model.amplitudes
+    w[:: model.n + 1, :: model.n + 1] += (factors - 1.0) * a * a  # the population block
     return w
 
 
@@ -190,11 +184,9 @@ def liouvillian(model: QswModel) -> Superoperator:
     h = model.hamiltonian
     eye = np.eye(n)
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    dest, src, amp = model.jump_table
-    rates = amp * amp
-    pop = np.arange(n) * (n + 1)
-    np.add.at(lmat, (pop[dest], pop[src]), rates)
-    d = np.diag(np.bincount(src, weights=rates, minlength=n))
+    rates = model.rates
+    lmat[:: n + 1, :: n + 1] += rates  # the population block
+    d = np.diag(rates.sum(axis=0))
     lmat -= 0.5 * (np.kron(eye, d) + np.kron(d.T, eye))
     return lmat
 
@@ -231,7 +223,7 @@ def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
     without damping) surfaces as :class:`DegeneracyError`.
     """
     h = model.hamiltonian
-    g = model.jump_rate_matrix()
+    g = model.rates
     lam, v = np.linalg.eigh(h)
     a = null_vector(g @ _spreading_kernel(lam, v) - np.eye(model.n), tol=tol).real
     tr = a.sum()

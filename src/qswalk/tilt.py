@@ -103,7 +103,7 @@ def tilted_superoperator(model: QswModel, s) -> Superoperator:
     s = 0 the result equals the Liouvillian bitwise.
     """
     s = _as_tilt(model, s)
-    return tilt_recycling(liouvillian(model), model, np.exp(-s)[model.jump_table[0]])
+    return tilt_recycling(liouvillian(model), model, np.exp(-s)[:, None])
 
 
 def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
@@ -115,8 +115,7 @@ def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
         raise ValueError(f"s_matrix must be {model.n} x {model.n}")
     if not np.all(np.isfinite(s_matrix)) or np.any(-s_matrix > _EXP_ARG_LIMIT):
         raise ValueError("per-jump tilts must be finite and exp-representable")
-    dest, src, _amp = model.jump_table
-    return tilt_recycling(liouvillian(model), model, np.exp(-s_matrix[dest, src]))
+    return tilt_recycling(liouvillian(model), model, np.exp(-s_matrix))
 
 
 def free_energy(model: QswModel, s) -> float:
@@ -127,7 +126,7 @@ def free_energy(model: QswModel, s) -> float:
     spectrum is that of :func:`tilted_superoperator`.
     """
     s = _as_tilt(model, s)
-    w = tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[model.jump_table[0]])
+    w = tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[:, None])
     return eig_general(w).leading_eigenvalue.real
 
 
@@ -141,7 +140,7 @@ def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
     need no iteration.  A G with several closed classes has no unique
     profile and raises :class:`DegeneracyError`.
     """
-    rates = model.jump_rate_matrix()
+    rates = model.rates
     rate = rates @ np.abs(null_vector(rates - np.eye(model.n)))
     total = rate.sum()
     if total <= _ACTIVITY_FLOOR:
@@ -189,7 +188,7 @@ def activity_from_steady_state(model: QswModel) -> np.ndarray:
     it reduces to the classical pagerank.
     """
     rho = steady_state(model)
-    return model.jump_rate_matrix() @ np.real(np.diag(rho))
+    return model.rates @ np.real(np.diag(rho))
 
 
 def dispersion(

@@ -43,6 +43,71 @@ def generic_recycling(model):
     return out
 
 
+def _jump_arrays(model):
+    dest, src, amp = zip(*model.jumps)
+    return np.array(dest), np.array(src), np.array(amp, dtype=float)
+
+
+def jump_list_tilt_recycling(w, model, factors):
+    """The per-jump scatter: jump k of ``model.jumps`` (j -> i) gains
+    (factors[k] - 1) * amp_k**2 at (i*(n+1), j*(n+1)), added with
+    ``np.add.at`` and only where the factor is not exactly 1."""
+    dest, src, amp = _jump_arrays(model)
+    keep = factors != 1.0
+    pop = np.arange(model.n) * (model.n + 1)
+    gain = (factors[keep] - 1.0) * amp[keep] * amp[keep]
+    np.add.at(w, (pop[dest[keep]], pop[src[keep]]), gain)
+    return w
+
+
+def jump_list_liouvillian(model):
+    """The generator assembled from the jump list: rates scattered with
+    ``np.add.at``, their column sums taken with ``np.bincount`` in jump
+    order.  The array-native :func:`qswalk.liouvillian` must equal it
+    entry for entry, not just to rounding."""
+    n = model.n
+    eye = np.eye(n)
+    h = model.hamiltonian
+    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    dest, src, amp = _jump_arrays(model)
+    rates = amp * amp
+    pop = np.arange(n) * (n + 1)
+    np.add.at(lmat, (pop[dest], pop[src]), rates)
+    d = np.diag(np.bincount(src, weights=rates, minlength=n))
+    lmat -= 0.5 * (np.kron(eye, d) + np.kron(d.T, eye))
+    return lmat
+
+
+def jump_list_tilted(model, s):
+    """Node-tilted generator from the jump list: jump k's factor is
+    exp(-s) of its destination."""
+    factors = np.exp(-np.asarray(s, dtype=float))[_jump_arrays(model)[0]]
+    return jump_list_tilt_recycling(jump_list_liouvillian(model), model, factors)
+
+
+def jump_list_tilted_per_jump(model, s_matrix):
+    """Edge-tilted generator from the jump list."""
+    dest, src, _amp = _jump_arrays(model)
+    factors = np.exp(-np.asarray(s_matrix, dtype=float)[dest, src])
+    return jump_list_tilt_recycling(jump_list_liouvillian(model), model, factors)
+
+
+def loop_google_matrix(g, damping=0.85):
+    """Google matrix built edge by edge and column by column."""
+    n = g.n
+    a = np.zeros((n, n))
+    for (src, dst) in g.edges:
+        a[src, dst] = 1.0
+    out_deg = a.sum(axis=1)
+    s = np.empty((n, n))
+    for j in range(n):
+        if out_deg[j] > 0:
+            s[:, j] = a[j, :] / out_deg[j]
+        else:
+            s[:, j] = 1.0 / n
+    return damping * s + (1.0 - damping) / n
+
+
 def limit_generator(model, mode):
     """Dense generator of an extreme-tilt limit, the oracle for the
     closed-form limit rows of ``scan --limit-mode``.
@@ -67,7 +132,7 @@ def dense_active_limit_profile(model):
     vals, vecs = scipy.linalg.eig(limit_generator(model, "active"))
     v = vecs[:, int(np.argmax(vals.real))]
     pops = np.abs(np.diag(v.reshape((n, n), order="F")))
-    rate = model.jump_rate_matrix() @ pops
+    rate = model.rates @ pops
     return rate / rate.sum()
 
 
@@ -234,7 +299,7 @@ def exact_trajectory(model, t_max, seed, psi0=None):
     superposition.
     """
     n = model.n
-    rates = model.jump_rate_matrix()
+    rates = model.rates
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     psi = np.full(n, 1.0 / np.sqrt(n), dtype=complex) if psi0 is None else psi0
     counts = np.zeros(n, dtype=np.int64)
@@ -272,7 +337,7 @@ def scalar_trajectory(model, t_max, dt, seed):
     for k in range(1, 5):
         taylor.append(taylor[-1] @ (a / k))
     taylor = np.concatenate(taylor)
-    rates = model.jump_rate_matrix()
+    rates = model.rates
 
     def norm2(v):
         return float(np.vdot(v, v).real)

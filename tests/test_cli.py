@@ -99,12 +99,11 @@ def test_ranks_activity_matches_finite_differences(tmp_path, capsys):
         assert_allclose(table[:, 3].sum(), 1.0, atol=1e-12)
 
 
-def test_ranks_fd_step_is_checked_but_not_used(two_node_file, capsys):
-    assert main(["ranks", "--input", two_node_file]) == 0
-    default = capsys.readouterr().out
-    assert main(["ranks", "--input", two_node_file, "--fd-step", "1e-3"]) == 0
-    assert capsys.readouterr().out == default
-    assert main(["ranks", "--input", two_node_file, "--fd-step", "0"]) == 2
+def test_ranks_takes_no_fd_step(two_node_file):
+    # ranks takes no derivative, so argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        main(["ranks", "--input", two_node_file, "--fd-step", "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_ranks_runs_past_the_dense_limit(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qswalk as q
-from oracles import pagerank_dense, random_digraph
+from oracles import loop_google_matrix, pagerank_dense, random_digraph
 
 
 # -- parsing ---------------------------------------------------------------
@@ -165,6 +165,21 @@ def test_google_matrix_column_stochastic_random(rng):
         m = q.google_matrix(g)
         assert_allclose(m.sum(axis=0), np.ones(g.n), atol=1e-12)
         assert m.min() >= 0.15 / g.n - 1e-15  # teleport floor
+
+
+def test_google_matrix_equals_the_loop_form(rng):
+    # dangling columns divide by nothing, so no floating-point warning
+    for _ in range(25):
+        g = random_digraph(rng, n_max=12)
+        edges = {(u, v) for (u, v) in g.edges if u != g.n - 1}  # last node dangling
+        if g.n > 1:
+            edges.add((0, 0))
+        g = q.DirectedGraph(n=g.n, edges=frozenset(edges))
+        for damping in (0.85, 1.0):
+            with np.errstate(all="raise"):
+                m = q.google_matrix(g, damping)
+            assert m.flags.c_contiguous
+            assert np.array_equal(m, loop_google_matrix(g, damping))
 
 
 # -- pagerank --------------------------------------------------------------

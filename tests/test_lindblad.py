@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qswalk as q
-from qswalk.lindblad import DENSE_NODE_LIMIT, check_dense_budget
+from qswalk.lindblad import DENSE_NODE_LIMIT, check_dense_budget, tilt_recycling
 from qswalk.linalg import to_hermitian_basis
 from oracles import (
     dense_steady_state,
@@ -23,6 +23,10 @@ from oracles import (
     from_hermitian_basis,
     generic_liouvillian,
     hermitian_basis_unitary,
+    jump_list_liouvillian,
+    jump_list_tilt_recycling,
+    jump_list_tilted,
+    jump_list_tilted_per_jump,
     random_digraph,
 )
 
@@ -41,7 +45,9 @@ def test_build_two_node_jumps(two_node_model):
         (1, 0, np.sqrt(0.925)),
         (1, 1, np.sqrt(0.5)),
     ]
-    assert two_node_model.n_jumps == 4
+    assert two_node_model.n == 2
+    assert_allclose(two_node_model.amplitudes, np.sqrt([[0.075, 0.5], [0.925, 0.5]]), atol=1e-15)
+    assert len(two_node_model.jumps) == 4
     for (i, j, amp), (ei, ej, eamp) in zip(two_node_model.jumps, expected):
         assert (i, j) == (ei, ej)
         assert_allclose(amp, eamp, atol=1e-15)
@@ -51,8 +57,12 @@ def test_one_jump_per_positive_rate(two_node_graph, six_node_graph):
     # teleportation makes every rate positive: n^2 jumps, no cutoff
     for g in (two_node_graph, six_node_graph):
         model = q.build_qsw(g)
-        assert model.n_jumps == g.n * g.n
-        assert_allclose(model.jump_rate_matrix(), q.google_matrix(g), atol=1e-15)
+        assert len(model.jumps) == g.n * g.n
+        assert np.array_equal(model.amplitudes, np.sqrt(q.google_matrix(g)))
+        assert_allclose(model.rates, q.google_matrix(g), atol=1e-15)
+    # without damping a zero rate is no jump
+    model = q.build_qsw(two_node_graph, damping=1.0)
+    assert [(i, j) for i, j, _amp in model.jumps] == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_coherent_weight_scales_hamiltonian(two_node_graph):
@@ -69,19 +79,44 @@ def test_self_loop_dropped_from_hamiltonian_kept_in_rates():
     m = q.build_qsw(g)
     assert m.hamiltonian[0, 0] == 0.0
     assert m.hamiltonian[0, 1] == 1.0
-    assert m.jump_rate_matrix()[0, 0] > 0.0  # self-jump survives
+    assert m.rates[0, 0] > 0.0  # self-jump survives
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        q.QswModel(n=2, hamiltonian=np.array([[0.0, 1.0], [0.5, 0.0]]), jumps=((1, 0, 1.0), (0, 1, 1.0)))
-    with pytest.raises(ValueError):
-        q.QswModel(n=2, hamiltonian=np.zeros((2, 2)), jumps=((2, 0, 1.0),))
-    with pytest.raises(ValueError):
-        q.QswModel(n=2, hamiltonian=np.zeros((2, 2)), jumps=((1, 0, -1.0), (0, 1, 1.0)))
-    with pytest.raises(ValueError):
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        q.QswModel(np.array([[0.0, 1.0], [0.5, 0.0]]), swap)
+    with pytest.raises(ValueError, match="square"):
+        q.QswModel(np.zeros((2, 3)), swap)
+    with pytest.raises(ValueError, match="does not match"):
+        q.QswModel(np.zeros((3, 3)), swap)
+    with pytest.raises(ValueError, match="non-negative"):
+        q.QswModel(np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        q.QswModel(np.zeros((2, 2)), np.array([[0.0, 1.0], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="sum to 1"):
         # source 1 has no jumps: rates are not column-stochastic
-        q.QswModel(n=2, hamiltonian=np.zeros((2, 2)), jumps=((1, 0, 1.0),))
+        q.QswModel(np.zeros((2, 2)), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_model_copies_its_arrays(two_node_graph):
+    h = np.array([[0.0, 0.8], [0.8, 0.0]])
+    amp = np.sqrt(q.google_matrix(two_node_graph))
+    model = q.QswModel(h, amp)
+    theta = q.free_energy(model, [0.3, -0.2])  # caches the generator
+    h[0, 1] = h[1, 0] = 5.0
+    amp[:] = 0.0
+    assert model.hamiltonian[0, 1] == 0.8
+    assert np.array_equal(model.amplitudes, np.sqrt(q.google_matrix(two_node_graph)))
+    assert q.free_energy(model, [0.3, -0.2]) == theta
+    fresh = q.QswModel(model.hamiltonian, model.amplitudes)
+    assert np.array_equal(model.hermitian_generator, fresh.hermitian_generator)
+
+
+def test_model_arrays_are_read_only(two_node_model):
+    for arr in (two_node_model.hamiltonian, two_node_model.amplitudes, two_node_model.rates):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 # -- liouvillian -----------------------------------------------------------
@@ -104,6 +139,38 @@ def test_liouvillian_matches_generic_on_random_graphs(rng):
         )
 
 
+def test_array_generators_equal_the_jump_list_assembly(two_node_graph, six_node_graph):
+    # entry for entry, not to rounding: FD second derivatives of theta
+    # magnify a one-ulp change in the generator by 1/h^2
+    rng = np.random.default_rng(16)
+    mask = rng.random((16, 16)) < 0.2
+    dense = q.DirectedGraph(n=16, edges=frozenset(zip(*np.nonzero(mask))))
+    star = q.parse_edge_list("0 1\n1 0\n0 2\n2 0\n0 3\n3 0\n")
+    models = [
+        q.build_qsw(two_node_graph),
+        q.build_qsw(six_node_graph),
+        q.build_qsw(dense, coherent_weight=0.7),
+        q.build_qsw(star, damping=1.0),  # zero rates: no jump
+    ]
+    for model in models:
+        n = model.n
+        s = rng.uniform(-2.0, 2.0, n)
+        s_matrix = rng.uniform(-2.0, 2.0, (n, n))
+        reference = jump_list_liouvillian(model)
+        assert np.array_equal(q.liouvillian(model), reference)
+        assert np.array_equal(model.hermitian_generator, to_hermitian_basis(reference))
+        assert np.array_equal(q.tilted_superoperator(model, s), jump_list_tilted(model, s))
+        assert np.array_equal(
+            q.tilted_superoperator_per_jump(model, s_matrix),
+            jump_list_tilted_per_jump(model, s_matrix),
+        )
+        dest = np.array([i for i, _j, _amp in model.jumps])
+        assert np.array_equal(
+            tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[:, None]),
+            jump_list_tilt_recycling(to_hermitian_basis(reference), model, np.exp(-s)[dest]),
+        )
+
+
 def test_liouvillian_spectrum_contract(two_node_model, six_node_model, rng):
     models = [two_node_model, six_node_model]
     for _ in range(4):
@@ -121,7 +188,7 @@ def test_recycling_scatters_rates_on_population_block(two_node_model, six_node_m
         n = model.n
         diag = np.arange(n) * (n + 1)
         block = q.liouvillian(model)[np.ix_(diag, diag)]
-        assert_allclose(block, model.jump_rate_matrix() - np.eye(n), atol=1e-15)
+        assert_allclose(block, model.rates - np.eye(n), atol=1e-15)
 
 
 def test_liouvillian_preserves_trace(two_node_model, six_node_model):
@@ -134,10 +201,7 @@ def test_liouvillian_trace_preserving_to_rounding_off_stochastic_rates():
     # squared amplitudes of source 0 sum to 1 - 5e-13, inside the model's
     # 1e-12 tolerance: the anticommutator must use those sums, not I
     rates = np.array([[0.3, 0.4], [0.7 - 5e-13, 0.6]])
-    jumps = tuple(
-        (i, j, math.sqrt(rates[i, j])) for i in range(2) for j in range(2)
-    )
-    model = q.QswModel(n=2, hamiltonian=np.array([[0.0, 0.8], [0.8, 0.0]]), jumps=jumps)
+    model = q.QswModel(np.array([[0.0, 0.8], [0.8, 0.0]]), np.sqrt(rates))
     left = q.vec(np.eye(2))
     assert np.abs(left @ q.liouvillian(model)).max() <= 1e-15
 
@@ -356,9 +420,7 @@ def test_to_hermitian_basis_rejects_non_hermiticity_preserving(rng):
 
 def _complete_model(n):
     # no Google matrix needed: every node jumps uniformly to every node
-    amp = 1.0 / math.sqrt(n)
-    jumps = tuple((i, j, amp) for i in range(n) for j in range(n))
-    return q.QswModel(n=n, hamiltonian=np.zeros((n, n)), jumps=jumps)
+    return q.QswModel(np.zeros((n, n)), np.full((n, n), 1.0 / math.sqrt(n)))
 
 
 def test_dense_size_budget_refuses_before_allocating():

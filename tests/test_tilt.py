@@ -383,7 +383,7 @@ def test_thermo_point_is_frozen(two_node_model):
 
 def _real_tilted(model, s):
     w = model.hermitian_generator.copy()
-    return tilt_recycling(w, model, np.exp(-np.asarray(s))[model.jump_table[0]])
+    return tilt_recycling(w, model, np.exp(-np.asarray(s))[:, None])
 
 
 def _eight_node_model():

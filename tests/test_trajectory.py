@@ -228,7 +228,7 @@ def test_jump_choice_falls_back_from_an_empty_bin(two_node_model):
     # all weight on node 0, so every jump out of node 1 has weight 0;
     # u = 1 lands the threshold on the last bin, 1 -> 1, which is empty
     q0 = np.array([[1.0], [0.0]])
-    w = (two_node_model.jump_rate_matrix() * np.array([1.0, 0.0])).ravel()
+    w = (two_node_model.rates * np.array([1.0, 0.0])).ravel()
     dst, src = engine.jump(q0, np.array([1.0]))
     assert w[-1] == 0.0
     assert divmod(int(np.argmax(w)), 2) == (dst[0], src[0])
