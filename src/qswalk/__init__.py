@@ -52,6 +52,7 @@ from .tilt import (
     free_energy,
     normalized_activity,
     scan,
+    stationary_dispersion,
     tilted_superoperator,
     tilted_superoperator_per_jump,
     uniform_tilt,
@@ -103,6 +104,7 @@ __all__ = [
     "rk4_step_matrix",
     "scan",
     "simulate",
+    "stationary_dispersion",
     "steady_state",
     "symmetrized_adjacency",
     "tilted_superoperator",

@@ -5,8 +5,11 @@ dynamical activity vs. steady-state populations), ``scan`` (uniform-tilt
 thermodynamic scan), ``simulate`` (jump Monte Carlo ensemble).  All
 outputs are CSV with a header row; ``--output -`` (the default) writes
 to stdout.  Exit codes: 0 success, 2 usage/input error, 3 numerical
-failure or a model too large for the dense generator (only ``scan``
-grids and ``simulate`` build it).  The environment variable
+failure or a model too large: for the dense generator, which only
+``scan`` grids build, or for one trajectory of the jump engine.  The
+reference columns of ``simulate`` are exact n x n values, the stationary
+jump rates and :func:`~qswalk.tilt.stationary_dispersion`.  The
+environment variable
 ``QSWALK_WORKERS`` sets the process count for scans and ensembles
 (default: serial).
 """
@@ -28,16 +31,16 @@ from .errors import EdgeListError, QswError, SizeBudgetError
 from .graph import google_matrix, pagerank, parse_edge_list
 from .lindblad import build_qsw, steady_state
 from .tilt import (
-    _observables,
     activity,  # unused here; perfbench still patches qswalk.cli.activity
     active_limit_normalized_activity,
     dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
     scan,
+    stationary_dispersion,
     ThermoPoint,
     uniform_tilt,
 )
 from .linalg import eig_general  # unused here; perfbench still patches qswalk.cli.eig_general
-from .trajectory import ensemble_stats, simulate
+from .trajectory import block_lanes, ensemble_stats, simulate
 
 WORKERS_ENV = "QSWALK_WORKERS"
 
@@ -121,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dt", type=float, help="accepted and checked; the sampler takes no step")
     p_sim.add_argument("--n-traj", type=int)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--fd-step", type=float)
     return parser
 
 
@@ -222,8 +224,9 @@ def _report_crossover(points) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     model = build_qsw(g, cfg.damping, cfg.coherent_weight)
-    ref = _observables(model, np.zeros(g.n), cfg.fd_step, self_check=True)
-    act0, disp0 = ref.alpha, ref.delta
+    block_lanes(model.n)  # refuses a model too large for the engine, before any work
+    act0 = model.rates @ np.real(np.diag(steady_state(model)))  # as in ranks
+    disp0 = stationary_dispersion(model, act0)
     if cfg.n_traj == 1:
         rec = simulate(model, None, cfg.t_max, cfg.dt, cfg.seed)
         with _open_output(cfg.output) as fp:

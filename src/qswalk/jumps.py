@@ -16,17 +16,21 @@ jump to dst, c is row dst of V.
 
 A block of trajectories ("lanes") advances in lock-step rounds of one
 jump each, and every per-lane step is an array operation across the
-lanes.  A lane's result does not depend on the block size or on its
-position in the block:
+lanes.  Lanes keep fixed columns of lane-major arrays; a lane whose next
+jump would come at or after the horizon is masked off and its later
+rounds are discarded.  A lane's result does not depend on the block size
+or on its position in the block:
 
 * States are held as real vectors (Re, Im), and every product is a
   sequence of elementwise float64 operations in a fixed order, never a
   BLAS call across lanes.
-* Each lane reads its own counter-based Philox stream keyed by its seed,
-  in the order r, then u for each jump.  Its logarithms and phases
-  lam * tau are evaluated one lane at a time, on arrays of one fixed
-  shape, so the elementary functions see the same input whatever the
-  block.
+* Each lane reads its own Philox4x64-10 stream keyed by its seed, in the
+  order r, then u for each jump; :func:`uniforms` computes the stream of
+  every lane at once, in integer arithmetic, bitwise equal to
+  ``numpy.random.Philox(key=seed)``.
+* ``log``, ``cos`` and ``sin`` are applied elementwise to whole arrays;
+  numpy's vector kernels take the same path for every element of a
+  contiguous or strided float64 array, whatever its length.
 """
 
 from __future__ import annotations
@@ -35,8 +39,49 @@ import numpy as np
 
 from .lindblad import QswModel
 
-_DRAWS = 64  # uniforms taken from a lane's stream at a time (multiple of 4)
-_ROUNDS = _DRAWS // 2  # jumps per chunk of draws: r, then u
+_ROUNDS = 32  # jumps per chunk of draws
+_DRAWS = 2 * _ROUNDS  # uniforms per lane and chunk: r, then u, per jump
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the two multipliers,
+# each with its 32-bit halves, and the Weyl increments of the key
+_M0, _M1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+            for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LO32 = np.uint64(0xFFFFFFFF)
+_32, _11 = np.uint64(32), np.uint64(11)
+
+
+def _mulhilo(a: np.ndarray, mult: tuple):
+    """High and low 64-bit words of the 128-bit products a * m for the
+    multiplier ``mult`` = (m, low 32 bits, high 32 bits), from 32-bit
+    halves (Warren, Hacker's Delight, mulhu)."""
+    m, m_lo, m_hi = mult
+    a_lo, a_hi = a & _LO32, a >> _32
+    t = a_hi * m_lo + (a_lo * m_lo >> _32)
+    v = a_lo * m_hi + (t & _LO32)
+    return a_hi * m_hi + (t >> _32) + (v >> _32), a * m
+
+
+def uniforms(keys: np.ndarray, chunk: int) -> np.ndarray:
+    """Uniforms chunk*_DRAWS ... (chunk+1)*_DRAWS - 1 of the Philox
+    stream keyed by each of ``keys`` (uint64): an array (lanes, _DRAWS).
+
+    As ``numpy.random.Philox(key=k).random_raw`` does, block b of the
+    stream is the 10-round Philox4x64 bijection of the counter (b+1, 0, 0,
+    0) under the key (k, 0), and its four words are used in order; a word
+    w gives the uniform (w >> 11) * 2**-53, as ``Generator.random`` does.
+    """
+    blocks = _DRAWS // 4
+    k0 = keys[:, None]
+    c0 = np.arange(chunk * blocks + 1, (chunk + 1) * blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        hi0, lo0 = _mulhilo(c0, _M0)
+        hi1, lo1 = _mulhilo(c2, _M1)
+        bump0, bump1 = np.uint64(r * _W0 % 2**64), np.uint64(r * _W1 % 2**64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ (k0 + bump0), lo1, hi0 ^ c3 ^ bump1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1)  # every word depends on the key by now
+    return (words.reshape(len(keys), _DRAWS) >> _11) * 2.0**-53
 
 
 def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -58,16 +103,7 @@ class JumpEngine:
         self.n = model.n
         self.lam, self.v = np.linalg.eigh(model.hamiltonian)
         self.cols = self.v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
-        self.rates = model.rates.reshape(-1, 1)  # row i*n + j: j -> i
-
-    def draws(self, gen: np.random.Generator, seed: int, chunk: int):
-        """One lane's next ``_ROUNDS`` waiting times, jump uniforms and
-        phases cos(lam tau), sin(lam tau) (rounds x n), from chunk
-        ``chunk`` of the stream keyed by ``seed``."""
-        r, u = uniforms(gen, seed, chunk).reshape(_ROUNDS, 2).T
-        tau = -np.log(r)
-        phase = np.multiply.outer(tau, self.lam)
-        return tau, u, np.cos(phase), np.sin(phase)
+        self.rates = model.rates[:, :, None]  # rates[i, j]: j -> i, for every lane
 
     def jump(self, q: np.ndarray, u: np.ndarray):
         """Pick each lane's jump from source weights ``q`` (n, lanes), the
@@ -76,35 +112,13 @@ class JumpEngine:
         Returns destinations and sources.
         """
         n = self.n
-        w = self.rates * np.tile(q, (n, 1))  # w[i*n + j]: rate of jump j -> i now
+        w = (self.rates * q).reshape(n * n, -1)  # w[i*n + j]: rate of jump j -> i now
         csum = np.add.accumulate(w, axis=0)
         idx = np.minimum((csum <= u * csum[-1]).sum(axis=0), n * n - 1)
-        lanes = np.arange(len(u))
-        empty = w[idx, lanes] == 0.0  # threshold landed on an empty bin edge
-        idx[empty] = np.argmax(w[:, empty], axis=0)
+        empty = w[idx, np.arange(len(u))] == 0.0  # threshold on an empty bin edge
+        if empty.any():
+            idx[empty] = np.argmax(w[:, empty], axis=0)
         return np.divmod(idx, n)
-
-
-def uniforms(gen: np.random.Generator, seed: int, chunk: int) -> np.ndarray:
-    """Uniforms chunk*_DRAWS ... (chunk+1)*_DRAWS - 1 of the Philox stream
-    keyed by ``seed``, drawn with ``gen`` after moving it there.
-
-    Philox makes four 64-bit words, one uniform each, per counter step, so
-    the chunk starts where the counter has taken chunk*_DRAWS/4 steps.
-    One generator serves every lane, so memory does not grow with lanes.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([chunk * _DRAWS // 4, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed, 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen.random(_DRAWS)
 
 
 def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=False):
@@ -116,37 +130,39 @@ def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=
     destination, source) events (otherwise None).
     """
     n, n_lanes = engine.n, len(seeds)
+    keys = np.fromiter(seeds, dtype=np.uint64, count=n_lanes)
     c0 = engine.v.T @ psi0
-    x = np.tile(np.concatenate([c0.real, c0.imag])[:, None], (1, n_lanes))
+    re = np.tile(c0.real[:, None], (1, n_lanes))
+    im = np.tile(c0.imag[:, None], (1, n_lanes))  # None once every lane has jumped
     t_abs = np.zeros(n_lanes)
+    live = np.ones(n_lanes, dtype=bool)
+    lanes = np.arange(n_lanes)
     counts = np.zeros((n_lanes, n), dtype=np.int64)
     events = [[] for _ in seeds] if record else None
-    gen = np.random.Generator(np.random.Philox(key=0))
-    tau, u = np.empty((n_lanes, _ROUNDS)), np.empty((n_lanes, _ROUNDS))
-    cos, sin = np.empty((n_lanes, _ROUNDS, n)), np.empty((n_lanes, _ROUNDS, n))
-    lanes = np.arange(n_lanes)
     rnd = 0
-    while lanes.size:
-        # every live lane has jumped once per earlier round, so every live
-        # lane sits at the same place in its own stream
+    while True:
+        # every lane has jumped once per earlier round, so every lane sits
+        # at the same place in its own stream
         col = rnd % _ROUNDS
         if col == 0:
-            for k in lanes:
-                tau[k], u[k], cos[k], sin[k] = engine.draws(gen, seeds[k], rnd // _ROUNDS)
+            draws = uniforms(keys, rnd // _ROUNDS).T  # (_DRAWS, lanes)
+            tau, u = -np.log(draws[0::2]), draws[1::2]
         rnd += 1
-        t_next = t_abs[lanes] + tau[lanes, col]
-        keep = t_next < t_max
-        lanes = lanes[keep]
-        c, s = cos[lanes, col].T, sin[lanes, col].T
-        re, im = x[:n, lanes], x[n:, lanes]
-        psi_re = _matvec(engine.cols, c * re + s * im)  # V exp(-i lam tau) c
-        psi_im = _matvec(engine.cols, c * im - s * re)
-        dst, src = engine.jump(psi_re * psi_re + psi_im * psi_im, u[lanes, col])
-        x[:n, lanes] = engine.v[dst].T
-        x[n:, lanes] = 0.0
-        t_abs[lanes] = t_next[keep]
-        counts[lanes, dst] += 1
+        t_abs += tau[col]
+        live &= t_abs < t_max
+        if not live.any():
+            return counts, events
+        phase = engine.lam[:, None] * tau[col]
+        c, s = np.cos(phase), np.sin(phase)
+        # V exp(-i lam tau) c, but for the sign of Im, which the weights square
+        x_re, x_im = c * re, s * re
+        if im is not None:
+            x_re += s * im
+            x_im -= c * im
+        psi_re, psi_im = _matvec(engine.cols, x_re), _matvec(engine.cols, x_im)
+        dst, src = engine.jump(psi_re * psi_re + psi_im * psi_im, u[col])
+        re, im = engine.v.T[:, dst], None
+        counts[lanes, dst] += live
         if record:
-            for k, t, i, j in zip(lanes, t_abs[lanes], dst, src):
-                events[k].append((float(t), int(i), int(j)))
-    return counts, events
+            for k in np.flatnonzero(live):
+                events[k].append((float(t_abs[k]), int(dst[k]), int(src[k])))

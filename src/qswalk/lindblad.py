@@ -60,7 +60,7 @@ _STEADY_RESIDUAL_TOL = 1e-8
 DENSE_NODE_LIMIT = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QswModel:
     """Quantum stochastic walk: Hamiltonian plus single-entry jumps.
 
@@ -68,6 +68,7 @@ class QswModel:
     of the jump operator for j -> i; a zero entry means no jump.  Both
     fields are n x n float arrays, copied on construction and read-only.
     The squared amplitudes (``rates``) must sum to 1 per source node.
+    Models compare and hash by identity.
     """
 
     hamiltonian: np.ndarray
@@ -191,19 +192,19 @@ def liouvillian(model: QswModel) -> Superoperator:
     return lmat
 
 
-def _spreading_kernel(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The n x n matrix M(1) = int_0^inf e^{-t} |<j|e^{-iHt}|d>|^2 dt for
-    H = V diag(lam) V^T.
+def _spreading_kernel(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The n x n matrix K[j, d] = sum_ab V_ja V_da V_jb V_db w[a, b] for the
+    eigenvectors V of H = V diag(lam) V^T and a symmetric weight w over
+    eigenvalue pairs.
 
-    M[j, d] is the probability that a walker put on node d by a jump is
-    on node j when its next jump fires:
-    M[j, d] = sum_ab V_ja V_da V_jb V_db / (1 + (lam_a - lam_b)^2).  It is
-    doubly stochastic and does not depend on the choice of eigenbasis.
-    Built one row at a time in O(n^2) workspace.
+    With w = 1 / (1 + (lam_a - lam_b)^2) it is M(1) =
+    int_0^inf e^{-t} |<j|e^{-iHt}|d>|^2 dt: the probability that a walker
+    put on node d by a jump is on node j when its next jump fires.  M(1)
+    is doubly stochastic and does not depend on the choice of
+    eigenbasis.  Built one row at a time in O(n^2) workspace.
     """
-    w = 1.0 / (1.0 + np.subtract.outer(lam, lam) ** 2)
-    m = np.empty((lam.size, lam.size))
-    for j in range(lam.size):
+    m = np.empty(w.shape)
+    for j in range(len(w)):
         p = v[j] * v  # p[d, a] = V_ja V_da
         m[j] = ((p @ w) * p).sum(axis=1)
     return m
@@ -225,7 +226,8 @@ def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
     h = model.hamiltonian
     g = model.rates
     lam, v = np.linalg.eigh(h)
-    a = null_vector(g @ _spreading_kernel(lam, v) - np.eye(model.n), tol=tol).real
+    kernel = _spreading_kernel(v, 1.0 / (1.0 + np.subtract.outer(lam, lam) ** 2))
+    a = null_vector(g @ kernel - np.eye(model.n), tol=tol).real
     tr = a.sum()
     if abs(tr) < 1e-6:
         raise DegeneracyError(

@@ -25,7 +25,8 @@ rescaled by exp(s) as s -> -infinity the generator is the bare recycling
 map, with theta = 1 and the Perron vector of the jump-rate matrix G as
 its jump profile (:func:`active_limit_normalized_activity`, n x n).
 The activity at s = 0 also has a derivative-free form, the stationary
-jump rates (:func:`activity_from_steady_state`); the finite-difference
+jump rates (:func:`activity_from_steady_state`), and so has the index of
+dispersion (:func:`stationary_dispersion`, n x n); the finite-difference
 path stays as the independent route.
 """
 
@@ -41,6 +42,7 @@ from .errors import ConvergenceError, QswError, ZeroActivityError
 from .lindblad import (
     QswModel,
     Superoperator,
+    _spreading_kernel,
     check_dense_budget,
     liouvillian,
     steady_state,
@@ -189,6 +191,36 @@ def activity_from_steady_state(model: QswModel) -> np.ndarray:
     """
     rho = steady_state(model)
     return model.rates @ np.real(np.diag(rho))
+
+
+def stationary_dispersion(model: QswModel, alpha) -> tuple:
+    """Exact per-node index of dispersion at s = 0, from n x n problems.
+
+    ``alpha`` is the stationary jump rate vector
+    (:func:`activity_from_steady_state`), the Perron vector pi of the
+    column-stochastic T = G M(1) (see :func:`steady_state`).  Second-order
+    Perron perturbation of the renewal root gives
+
+        delta_i = 1 + 2 pi_i + 2 (T S)_ii + 2 [(I + T S) G M'(1) pi]_i,
+
+    with the group inverse S = (I - T + pi 1^T)^{-1} - pi 1^T of T (Meyer,
+    SIAM Rev. 17, 443 (1975)) and M'(1) the spreading kernel with weights
+    ((lam_a - lam_b)^2 - 1) / (1 + (lam_a - lam_b)^2)^2.  Entries where
+    the activity is below 1e-12 are None, as in :func:`dispersion`.
+    """
+    pi = np.asarray(alpha, dtype=float)
+    n = model.n
+    g = model.rates
+    lam, v = np.linalg.eigh(model.hamiltonian)
+    om2 = np.subtract.outer(lam, lam) ** 2
+    t = g @ _spreading_kernel(v, 1.0 / (1.0 + om2))
+    p = np.outer(pi, np.ones(n))
+    ts = t @ (np.linalg.inv(np.eye(n) - t + p) - p)
+    y = g @ (_spreading_kernel(v, (om2 - 1.0) / (1.0 + om2) ** 2) @ pi)
+    delta = 1.0 + 2.0 * pi + 2.0 * ts.diagonal() + 2.0 * (y + ts @ y)
+    return tuple(
+        float(d) if abs(a) > _ACTIVITY_FLOOR else None for d, a in zip(delta, pi)
+    )
 
 
 def dispersion(

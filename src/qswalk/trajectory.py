@@ -4,9 +4,10 @@ A trajectory is a pure state that evolves coherently between jumps and
 is projected onto a node at each jump.  Waiting times are sampled
 exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
 by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
-Jumps into node i increment the count K_i.  Ensembles run ``_BLOCK``
-trajectories at a time as lanes of that engine; :func:`simulate` is the
-one-lane case.
+Jumps into node i increment the count K_i.  Ensembles run blocks of up
+to ``_BLOCK`` trajectories as lanes of that engine, fewer on large graphs
+so that a block's jump weights (lanes x n^2 doubles) stay within
+``_LANE_WEIGHTS``; :func:`simulate` is the one-lane case.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -20,14 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, SizeBudgetError
 from .jumps import JumpEngine, run_lanes
 from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
 from .tilt import _fan_out, _pool_size, tilted_superoperator
 
 DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
-_BLOCK = 1024  # lanes advanced together; bounds the engine's memory
+_BLOCK = 1024  # lanes advanced together
+_LANE_WEIGHTS = 1024 * 64 * 64  # jump weights (lanes x n^2 doubles) per block
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,20 @@ def _initial_state(model: QswModel, psi0, t_max: float, dt: float) -> np.ndarray
     return psi
 
 
+def block_lanes(n: int) -> int:
+    """Lanes per block for an n-node model: at most ``_BLOCK``, and few
+    enough that their n^2 jump weights each stay within ``_LANE_WEIGHTS``.
+
+    Raises :class:`SizeBudgetError` when one lane alone is over it.
+    """
+    if n * n > _LANE_WEIGHTS:
+        raise SizeBudgetError(
+            f"a {n}-node model needs {n * n} jump weights per trajectory; a block "
+            f"of the jump engine holds {_LANE_WEIGHTS} ({8 * _LANE_WEIGHTS / 2**20:g} MiB)"
+        )
+    return min(_BLOCK, _LANE_WEIGHTS // (n * n))
+
+
 def _check_seeds(first: int, last: int) -> None:
     if not 0 <= first <= last < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -94,6 +110,7 @@ def simulate(
     """
     psi = _initial_state(model, psi0, t_max, dt)
     _check_seeds(seed, seed)
+    block_lanes(model.n)
     engine = JumpEngine(model)
     counts, events = run_lanes(engine, psi, t_max, [seed], record=True)
     return TrajectoryRecord(
@@ -104,10 +121,11 @@ def simulate(
 def _counts_block(args) -> np.ndarray:
     """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
     model, psi0, t_max, seeds = args
+    block = block_lanes(model.n)
     engine = JumpEngine(model)
     return np.concatenate([
-        run_lanes(engine, psi0, t_max, seeds[k:k + _BLOCK])[0]
-        for k in range(0, len(seeds), _BLOCK)
+        run_lanes(engine, psi0, t_max, seeds[k:k + block])[0]
+        for k in range(0, len(seeds), block)
     ])
 
 
@@ -131,6 +149,7 @@ def ensemble_stats(
     if n_traj < 2:
         raise ValueError("ensemble statistics need n_traj >= 2")
     _check_seeds(seed0, seed0 + n_traj - 1)
+    block_lanes(model.n)
     psi = _initial_state(model, psi0, t_max, dt)
     seeds = range(seed0, seed0 + n_traj)
     chunks = [

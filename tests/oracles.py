@@ -263,6 +263,27 @@ def reconstruct_state(model, record, t, dt=0.01):
     return psi / np.linalg.norm(psi)
 
 
+def richardson_activity_dispersion(model, h=1e-3):
+    """Activity and index of dispersion at s = 0 from central differences
+    of the dense free energy at steps h and 2h, Richardson-extrapolated."""
+    n = model.n
+    theta0 = q.free_energy(model, np.zeros(n))
+
+    def stencil(step):
+        first, second = np.empty(n), np.empty(n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step
+            tp, tm = q.free_energy(model, e), q.free_energy(model, -e)
+            first[i] = -(tp - tm) / (2.0 * step)
+            second[i] = (tp - 2.0 * theta0 + tm) / step**2
+        return first, second
+
+    (a1, d1), (a2, d2) = stencil(h), stencil(2.0 * h)
+    alpha = (4.0 * a1 - a2) / 3.0
+    return alpha, (4.0 * d1 - d2) / 3.0 / alpha
+
+
 def random_digraph(rng, n_max=8, ensure_edge=True):
     """Random directed graph for property tests, self-loops allowed."""
     n = int(rng.integers(1, n_max + 1))

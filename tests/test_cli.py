@@ -13,7 +13,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qswalk as q
+from qswalk import trajectory
 from qswalk.cli import main
+from oracles import richardson_activity_dispersion
 
 
 @pytest.fixture
@@ -103,6 +105,13 @@ def test_ranks_takes_no_fd_step(two_node_file):
     # ranks takes no derivative, so argparse refuses the option
     with pytest.raises(SystemExit) as exc:
         main(["ranks", "--input", two_node_file, "--fd-step", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_simulate_takes_no_fd_step(two_node_file):
+    # the reference columns are exact, so no finite difference is left
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--input", two_node_file, "--fd-step", "1e-3"])
     assert exc.value.code == 2
 
 
@@ -251,21 +260,61 @@ def test_simulate_ensemble_output(two_node_file, capsys):
         assert cells["z_dispersion"] != ""
 
 
-def test_simulate_reference_columns_equal_activity_and_dispersion(two_node_file, capsys):
-    assert main(
-        [
-            "simulate", "--input", two_node_file, "--t-max", "2", "--dt", "0.05",
-            "--n-traj", "2",
-        ]
-    ) == 0
-    rows = _rows(capsys.readouterr().out)
-    model = q.build_qsw(q.parse_edge_list("n 2\n0 1\n"))
-    alpha = q.activity(model, np.zeros(2))
-    delta, _ = q.dispersion(model, np.zeros(2))
-    for i, row in enumerate(rows[1:]):
-        cells = dict(zip(rows[0], row))
-        assert float(cells["activity0"]) == alpha[i]
-        assert float(cells["dispersion0"]) == delta[i]
+def _random_edge_files(tmp_path, count, n=8):
+    rng = np.random.default_rng(8)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    paths = []
+    for k in range(count):
+        chosen = rng.choice(len(pairs), size=3 * n, replace=False)
+        path = tmp_path / f"random{k}.edges"
+        path.write_text(f"n {n}\n" + "".join("%d %d\n" % pairs[c] for c in chosen))
+        paths.append(path)
+    return paths
+
+
+def test_simulate_reference_columns_equal_activity_and_dispersion(tmp_path, capsys):
+    # activity0 is the stationary jump rate G @ population, as in ranks;
+    # dispersion0 is the exact n x n form, judged against a Richardson FD
+    # of the dense free energy (the CLI's old FD step carried ~1e-5 error)
+    data = Path(q.__file__).parent / "data"
+    cases = [
+        (data / f"{name}.edges", weight)
+        for name in ("two_node", "six_node")
+        for weight in ("0", "1", "2.5")
+    ] + [(path, "1") for path in _random_edge_files(tmp_path, 3)]
+    for path, weight in cases:
+        args = ["simulate", "--input", str(path), "--t-max", "2", "--n-traj", "2"]
+        assert main(args + ["--coherent-weight", weight]) == 0
+        rows = _rows(capsys.readouterr().out)
+        cells = [dict(zip(rows[0], row)) for row in rows[1:]]
+        act0 = np.array([float(c["activity0"]) for c in cells])
+        disp0 = np.array([float(c["dispersion0"]) for c in cells])
+        model = q.build_qsw(q.parse_edge_list(path.read_text()), coherent_weight=float(weight))
+        assert np.array_equal(act0, model.rates @ np.real(np.diag(q.steady_state(model))))
+        assert_allclose(act0, q.activity(model, np.zeros(model.n)), rtol=0, atol=1e-8)
+        _, delta = richardson_activity_dispersion(model)
+        assert_allclose(disp0, delta, rtol=1e-6, atol=0)
+
+
+def test_simulate_leaves_numpy_random_unimported(two_node_file, tmp_path):
+    # the jump engine computes its Philox streams itself; numpy.random
+    # costs tens of ms and several MB at first import
+    pkg_root = str(Path(q.__file__).resolve().parents[1])
+    code = (
+        "import sys, qswalk.cli\n"
+        "argv = ['simulate', '--input', sys.argv[1], '--t-max', '5', '--n-traj', sys.argv[2],\n"
+        "        '--output', sys.argv[3]]\n"
+        "assert qswalk.cli.main(argv) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    for n_traj in ("1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, two_node_file, n_traj, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 def test_simulate_is_reproducible(two_node_file, tmp_path):
@@ -358,6 +407,28 @@ def test_model_over_dense_budget_exits_3(tmp_path, capsys):
     assert "qswalk: model too large: a 200-node model" in captured.err
     assert "limited to 64 nodes" in captured.err
     assert peak < 100 << 20  # no allocation anywhere near the generator's size
+
+
+def test_simulate_runs_past_the_dense_limit(tmp_path, capsys):
+    # simulate builds no dense generator; blocks of lanes shrink instead
+    big = tmp_path / "big.edges"
+    big.write_text("n 100\n0 1\n1 2\n")
+    assert main(["simulate", "--input", str(big), "--n-traj", "2", "--t-max", "1"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 101
+    assert all(row[6] != "" and row[8] != "" for row in rows[1:])
+
+
+def test_simulate_refuses_a_trajectory_over_the_engine_budget(two_node_file, monkeypatch, capsys):
+    # a two-node lane holds 4 jump weights: with room for 3 the engine
+    # refuses, before the reference columns are computed
+    monkeypatch.setattr(trajectory, "_LANE_WEIGHTS", 3)
+    monkeypatch.setattr("qswalk.cli.steady_state", lambda model: pytest.fail("reference computed"))
+    for n_traj in ("1", "2"):
+        assert main(["simulate", "--input", two_node_file, "--n-traj", n_traj]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qswalk: model too large: a 2-node model" in captured.err
 
 
 def test_bad_n_traj_exits_2(two_node_file):

@@ -113,6 +113,14 @@ def test_model_copies_its_arrays(two_node_graph):
     assert np.array_equal(model.hermitian_generator, fresh.hermitian_generator)
 
 
+def test_models_compare_and_hash_by_identity(two_node_graph):
+    a, b = q.build_qsw(two_node_graph), q.build_qsw(two_node_graph)
+    assert a == a and not a != a
+    assert a != b and not a == b  # equal arrays, distinct models
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
+    assert hash(a) == hash(a)
+
+
 def test_model_arrays_are_read_only(two_node_model):
     for arr in (two_node_model.hamiltonian, two_node_model.amplitudes, two_node_model.rates):
         with pytest.raises(ValueError, match="read-only"):

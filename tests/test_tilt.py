@@ -24,6 +24,7 @@ from oracles import (
     leading_eigenvalue_scipy,
     limit_generator,
     random_digraph,
+    richardson_activity_dispersion,
 )
 
 
@@ -303,6 +304,19 @@ def test_dispersion_undefined_where_activity_vanishes(two_node_model):
     assert delta[0] is None
     assert delta[1] is not None
     assert delta_global is None
+
+
+def test_stationary_dispersion_matches_fd_and_skips_nodes_no_jump_reaches(single_node_model):
+    # at damping 1 the last node has no in-edge, so no jump lands there
+    assert q.stationary_dispersion(single_node_model, [1.0]) == (1.0,)  # Poisson
+    for text in ("n 3\n0 1\n1 0\n2 0\n", "n 4\n0 1\n1 2\n2 0\n3 0\n3 1\n"):
+        model = q.build_qsw(q.parse_edge_list(text), damping=1.0)
+        alpha = q.activity_from_steady_state(model)
+        delta = q.stationary_dispersion(model, alpha)
+        assert alpha[-1] == 0.0 and delta[-1] is None
+        with np.errstate(invalid="ignore"):
+            _, fd = richardson_activity_dispersion(model)
+        assert_allclose(delta[:-1], fd[:-1], rtol=1e-6, atol=0)
 
 
 def test_dispersion_six_node_regression():

@@ -139,11 +139,18 @@ def _lanes(model, seeds, t_max):
 
 @pytest.mark.parametrize("seed", [0, 77, (1 << 64) - 1])
 def test_uniform_chunks_continue_one_stream(seed):
-    stream = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    gen = np.random.Generator(np.random.Philox(key=1))
-    for chunk in range(3):
-        expected = [stream.random() for _ in range(jumps._DRAWS)]
-        assert np.array_equal(uniforms(gen, seed, chunk), expected)
+    # chunk k of a lane is uniforms k*_DRAWS ... of numpy's own Philox
+    # stream for its key, whether the lane runs alone or in a block
+    draws = jumps._DRAWS
+    stream = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(1001 * draws)
+    block = np.array([3, seed, (1 << 63) + 5, seed, 0], dtype=np.uint64)
+    for chunk in (0, 1, 7, 1000):
+        expected = stream[chunk * draws:(chunk + 1) * draws]
+        assert np.array_equal(uniforms(np.array([seed], dtype=np.uint64), chunk)[0], expected)
+        lanes = uniforms(block, chunk)
+        assert np.array_equal(lanes[1], expected) and np.array_equal(lanes[3], expected)
+        for k in range(len(block)):
+            assert np.array_equal(lanes[k], uniforms(block[k:k + 1], chunk)[0])
 
 
 @pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
@@ -168,6 +175,18 @@ def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
     whole = _counts_block(args)
     monkeypatch.setattr(trajectory, "_BLOCK", 7)
     assert np.array_equal(_counts_block(args), whole)
+    monkeypatch.setattr(trajectory, "_LANE_WEIGHTS", 3 * 4)  # 3 two-node lanes
+    assert trajectory.block_lanes(2) == 3
+    assert np.array_equal(_counts_block(args), whole)
+
+
+def test_blocks_shrink_with_the_graph():
+    # lanes x n^2 jump weights stay within the 1024-lane, 64-node block
+    assert trajectory.block_lanes(2) == trajectory.block_lanes(64) == 1024
+    assert trajectory.block_lanes(100) == 4096 * 1024 // 10000
+    assert trajectory.block_lanes(2048) == 1
+    with pytest.raises(q.SizeBudgetError, match="2049-node"):
+        trajectory.block_lanes(2049)
 
 
 @pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
@@ -210,8 +229,7 @@ def test_events_match_time_stepping_oracle(graph, request):
 def test_lane_past_the_horizon_records_no_event(two_node_model):
     # a lane leaves at its first round when tau = -ln r reaches t_max
     seeds = range(64)
-    gen = np.random.Generator(np.random.Philox(key=0))
-    first_tau = np.array([-np.log(uniforms(gen, seed, 0)[0]) for seed in seeds])
+    first_tau = -np.log(uniforms(np.arange(64, dtype=np.uint64), 0)[:, 0])
     counts, events = _lanes(two_node_model, seeds, 0.3)
     late = first_tau >= 0.3
     assert late.any() and (~late).any()
