@@ -10,9 +10,10 @@ step.  A second uniform u picks the jump src -> dst with probability
 proportional to G[dst, src] |psi_src(tau)|^2, and the state becomes |dst>
 (its phase is global and never observed).
 
-With H = V diag(lam) V^T (one ``eigh`` per engine) a lane holds the
-coefficients c = V^T psi, and psi(tau) = V exp(-i lam tau) c; after a
-jump to dst, c is row dst of V.
+With H = V diag(lam) V^T (the model's cached ``eigenbasis``: one
+``eigh`` per model and process) a lane holds the coefficients
+c = V^T psi, and psi(tau) = V exp(-i lam tau) c; after a jump to dst,
+c is row dst of V.
 
 A block of trajectories ("lanes") advances in lock-step rounds of one
 jump each, and every per-lane step is an array operation across the
@@ -96,32 +97,24 @@ def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-class JumpEngine:
-    """Eigenbasis of H and the rate matrix of one model."""
+def choose_jump(rates: np.ndarray, q: np.ndarray, u: np.ndarray):
+    """Pick each lane's jump from source weights ``q`` (n, lanes), the
+    squared amplitudes at the jump, with uniforms ``u``.
 
-    def __init__(self, model: QswModel):
-        self.n = model.n
-        self.lam, self.v = np.linalg.eigh(model.hamiltonian)
-        self.cols = self.v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
-        self.rates = model.rates[:, :, None]  # rates[i, j]: j -> i, for every lane
-
-    def jump(self, q: np.ndarray, u: np.ndarray):
-        """Pick each lane's jump from source weights ``q`` (n, lanes), the
-        squared amplitudes at the jump, with uniforms ``u``.
-
-        Returns destinations and sources.
-        """
-        n = self.n
-        w = (self.rates * q).reshape(n * n, -1)  # w[i*n + j]: rate of jump j -> i now
-        csum = np.add.accumulate(w, axis=0)
-        idx = np.minimum((csum <= u * csum[-1]).sum(axis=0), n * n - 1)
-        empty = w[idx, np.arange(len(u))] == 0.0  # threshold on an empty bin edge
-        if empty.any():
-            idx[empty] = np.argmax(w[:, empty], axis=0)
-        return np.divmod(idx, n)
+    ``rates`` is the model's rate matrix broadcast over lanes,
+    ``model.rates[:, :, None]``.  Returns destinations and sources.
+    """
+    n = len(q)
+    w = (rates * q).reshape(n * n, -1)  # w[i*n + j]: rate of jump j -> i now
+    csum = np.add.accumulate(w, axis=0)
+    idx = np.minimum((csum <= u * csum[-1]).sum(axis=0), n * n - 1)
+    empty = w[idx, np.arange(len(u))] == 0.0  # threshold on an empty bin edge
+    if empty.any():
+        idx[empty] = np.argmax(w[:, empty], axis=0)
+    return np.divmod(idx, n)
 
 
-def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=False):
+def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=False):
     """Run one trajectory per seed from ``psi0`` up to ``t_max``.
 
     Lanes advance in lock-step rounds of one jump; a lane leaves when its
@@ -129,9 +122,12 @@ def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=
     (lanes, n) and, with ``record``, every lane's list of (time,
     destination, source) events (otherwise None).
     """
-    n, n_lanes = engine.n, len(seeds)
+    n, n_lanes = model.n, len(seeds)
+    lam, v = model.eigenbasis
+    cols = v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
+    rates = model.rates[:, :, None]  # rates[i, j]: j -> i, for every lane
     keys = np.fromiter(seeds, dtype=np.uint64, count=n_lanes)
-    c0 = engine.v.T @ psi0
+    c0 = v.T @ psi0
     re = np.tile(c0.real[:, None], (1, n_lanes))
     im = np.tile(c0.imag[:, None], (1, n_lanes))  # None once every lane has jumped
     t_abs = np.zeros(n_lanes)
@@ -152,16 +148,16 @@ def run_lanes(engine: JumpEngine, psi0: np.ndarray, t_max: float, seeds, record=
         live &= t_abs < t_max
         if not live.any():
             return counts, events
-        phase = engine.lam[:, None] * tau[col]
+        phase = lam[:, None] * tau[col]
         c, s = np.cos(phase), np.sin(phase)
         # V exp(-i lam tau) c, but for the sign of Im, which the weights square
         x_re, x_im = c * re, s * re
         if im is not None:
             x_re += s * im
             x_im -= c * im
-        psi_re, psi_im = _matvec(engine.cols, x_re), _matvec(engine.cols, x_im)
-        dst, src = engine.jump(psi_re * psi_re + psi_im * psi_im, u[col])
-        re, im = engine.v.T[:, dst], None
+        psi_re, psi_im = _matvec(cols, x_re), _matvec(cols, x_im)
+        dst, src = choose_jump(rates, psi_re * psi_re + psi_im * psi_im, u[col])
+        re, im = v.T[:, dst], None
         counts[lanes, dst] += live
         if record:
             for k in np.flatnonzero(live):

@@ -34,6 +34,8 @@ column-stochastic matrix G M(1).  The spreading kernel
 M(1)[j, d] = int_0^inf e^{-t} |<j|e^{-iHt}|d>|^2 dt is doubly stochastic,
 so G M(1) is a classical pagerank chain composed with coherent spreading
 (:func:`steady_state`: O(n^4) time, O(n^2) memory, no size limit).
+The eigenbasis of H and T = G M(1) are built once per model and cached
+(``QswModel.eigenbasis``, ``QswModel.renewal``) for every reader.
 """
 
 from __future__ import annotations
@@ -122,9 +124,26 @@ class QswModel:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def eigenbasis(self) -> tuple:
+        """``(lam, V)`` with H = V diag(lam) V^T, from one ``eigh`` at
+        first use; both arrays read-only."""
+        lam, v = np.linalg.eigh(self.hamiltonian)
+        lam.flags.writeable = v.flags.writeable = False
+        return lam, v
+
+    @cached_property
+    def renewal(self) -> np.ndarray:
+        """The column-stochastic renewal chain T = G M(1) of the module
+        docstring: a read-only n x n matrix, built once at first use."""
+        lam, v = self.eigenbasis
+        t = self.rates @ _spreading_kernel(v, 1.0 / (1.0 + np.subtract.outer(lam, lam) ** 2))
+        t.flags.writeable = False
+        return t
+
     def __reduce__(self):
         # rebuilt through the constructor: read-only again, and the cached
-        # generator is rebuilt on demand, not shipped to workers
+        # properties are rebuilt on demand, not shipped to workers
         return QswModel, (self.hamiltonian, self.amplitudes)
 
 
@@ -210,24 +229,23 @@ def _spreading_kernel(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return m
 
 
-def steady_state(model: QswModel, tol: float = 1e-9) -> DensityMatrix:
+def steady_state(model: QswModel) -> DensityMatrix:
     """Unique stationary density matrix of the walk, from n x n problems.
 
     The stationary jump rates a = G diag(rho) are the Perron vector of
-    G M(1) (the spreading kernel of the module docstring), scaled to
-    unit sum, which is rho's trace.  Then rho solves
-    rho + i[H, rho] = diag(a): in the eigenbasis H = V diag(lam) V^T it
-    is V^T diag(a) V divided elementwise by 1 + i(lam_a - lam_b).  The
-    result is made exactly Hermitian, and its Lindblad residual is
-    checked without assembling the generator.  A kernel of G M(1) - I
-    that is not simple (G with several closed classes, only possible
-    without damping) surfaces as :class:`DegeneracyError`.
+    the model's renewal chain T = G M(1) (``QswModel.renewal``), scaled
+    to unit sum, which is rho's trace.  Then rho solves
+    rho + i[H, rho] = diag(a): in the model's eigenbasis
+    H = V diag(lam) V^T it is V^T diag(a) V divided elementwise by
+    1 + i(lam_a - lam_b).  The result is made exactly Hermitian, and its
+    Lindblad residual is checked without assembling the generator.  A
+    kernel of T - I that is not simple (G with several closed classes,
+    only possible without damping) surfaces as :class:`DegeneracyError`.
     """
     h = model.hamiltonian
     g = model.rates
-    lam, v = np.linalg.eigh(h)
-    kernel = _spreading_kernel(v, 1.0 / (1.0 + np.subtract.outer(lam, lam) ** 2))
-    a = null_vector(g @ kernel - np.eye(model.n), tol=tol).real
+    lam, v = model.eigenbasis
+    a = null_vector(model.renewal - np.eye(model.n)).real
     tr = a.sum()
     if abs(tr) < 1e-6:
         raise DegeneracyError(

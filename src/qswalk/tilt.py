@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, QswError, ZeroActivityError
+from .errors import ConvergenceError, DegeneracyError, QswError, ZeroActivityError
 from .lindblad import (
     QswModel,
     Superoperator,
@@ -57,6 +57,7 @@ DEFAULT_FD_STEP = 1e-4
 _EXP_ARG_LIMIT = 700.0  # exp overflow threshold for float64
 _ACTIVITY_FLOOR = 1e-12  # |d(theta)/d(s_i)| below this: dispersion undefined
 _SELF_CHECK_TOL = 1e-6
+_DEGENERACY_TOL = 1e-10  # relative gap below which the leading eigenvalue is not simple
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,23 @@ def free_energy(model: QswModel, s) -> float:
 
     Zero at s = 0 (stationarity), non-increasing and convex in each
     coordinate.  Solved as the real Hermitian-basis form of W_s, whose
-    spectrum is that of :func:`tilted_superoperator`.
+    spectrum is that of :func:`tilted_superoperator`.  A leading
+    eigenvalue that is not simple (G with several closed classes, or the
+    crowd at theta = -1 for large s) raises :class:`DegeneracyError`:
+    theta has a kink there that finite differences read as curvature.
     """
     s = _as_tilt(model, s)
     w = tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[:, None])
-    return eig_general(w).leading_eigenvalue.real
+    res = eig_general(w)
+    theta = res.leading_eigenvalue.real
+    gap = np.abs(res.full_spectrum - res.leading_eigenvalue)
+    fold = np.count_nonzero(gap <= _DEGENERACY_TOL * max(1.0, abs(theta)))
+    if fold > 1:
+        raise DegeneracyError(
+            f"leading eigenvalue {theta:.6g} of the tilted generator is "
+            f"{fold}-fold; theta is not differentiable there"
+        )
+    return theta
 
 
 def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
@@ -198,7 +211,7 @@ def stationary_dispersion(model: QswModel, alpha) -> tuple:
 
     ``alpha`` is the stationary jump rate vector
     (:func:`activity_from_steady_state`), the Perron vector pi of the
-    column-stochastic T = G M(1) (see :func:`steady_state`).  Second-order
+    column-stochastic T = G M(1) (``QswModel.renewal``).  Second-order
     Perron perturbation of the renewal root gives
 
         delta_i = 1 + 2 pi_i + 2 (T S)_ii + 2 [(I + T S) G M'(1) pi]_i,
@@ -211,9 +224,9 @@ def stationary_dispersion(model: QswModel, alpha) -> tuple:
     pi = np.asarray(alpha, dtype=float)
     n = model.n
     g = model.rates
-    lam, v = np.linalg.eigh(model.hamiltonian)
+    lam, v = model.eigenbasis
     om2 = np.subtract.outer(lam, lam) ** 2
-    t = g @ _spreading_kernel(v, 1.0 / (1.0 + om2))
+    t = model.renewal
     p = np.outer(pi, np.ones(n))
     ts = t @ (np.linalg.inv(np.eye(n) - t + p) - p)
     y = g @ (_spreading_kernel(v, (om2 - 1.0) / (1.0 + om2) ** 2) @ pi)
@@ -309,9 +322,9 @@ def _fan_out(fn, jobs: list, n_workers: Optional[int]) -> list:
 
 
 def _scan_worker(args) -> ThermoPoint:
-    model, s, h, self_check = args
+    model, s, h = args
     try:  # numerical failures are recorded per point, never abort the scan
-        return _observables(model, _as_tilt(model, s), h, self_check=self_check)
+        return _observables(model, _as_tilt(model, s), h)
     except (QswError, ValueError, np.linalg.LinAlgError) as exc:
         return ThermoPoint(
             s=np.atleast_1d(np.asarray(s, dtype=float)).copy(), error=str(exc)
@@ -322,7 +335,6 @@ def scan(
     model: QswModel,
     s_grid: Sequence,
     h: float = DEFAULT_FD_STEP,
-    self_check: bool = False,
     n_workers: Optional[int] = None,
 ) -> list[ThermoPoint]:
     """Evaluate :class:`ThermoPoint` on every tilt of ``s_grid``.
@@ -337,5 +349,5 @@ def scan(
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     check_dense_budget(model.n)
-    jobs = [(model, s, h, self_check) for s in s_grid]
+    jobs = [(model, s, h) for s in s_grid]
     return _fan_out(_scan_worker, jobs, n_workers)

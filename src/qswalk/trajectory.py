@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, SizeBudgetError
-from .jumps import JumpEngine, run_lanes
+from .jumps import run_lanes
 from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
 from .tilt import _fan_out, _pool_size, tilted_superoperator
@@ -111,8 +111,7 @@ def simulate(
     psi = _initial_state(model, psi0, t_max, dt)
     _check_seeds(seed, seed)
     block_lanes(model.n)
-    engine = JumpEngine(model)
-    counts, events = run_lanes(engine, psi, t_max, [seed], record=True)
+    counts, events = run_lanes(model, psi, t_max, [seed], record=True)
     return TrajectoryRecord(
         seed=seed, t_final=t_max, jump_events=tuple(events[0]), counts=counts[0]
     )
@@ -122,9 +121,8 @@ def _counts_block(args) -> np.ndarray:
     """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
     model, psi0, t_max, seeds = args
     block = block_lanes(model.n)
-    engine = JumpEngine(model)
     return np.concatenate([
-        run_lanes(engine, psi0, t_max, seeds[k:k + block])[0]
+        run_lanes(model, psi0, t_max, seeds[k:k + block])[0]
         for k in range(0, len(seeds), block)
     ])
 

@@ -296,6 +296,29 @@ def test_simulate_reference_columns_equal_activity_and_dispersion(tmp_path, caps
         assert_allclose(disp0, delta, rtol=1e-6, atol=0)
 
 
+def test_simulate_diagonalizes_h_once_and_builds_m1_once(monkeypatch, capsys):
+    # the steady state, the exact dispersion and the jump engine share the
+    # model's cached eigenbasis; M(1) is built once for the renewal chain,
+    # and M'(1) once for the dispersion
+    calls = {"eigh": 0, "kernel": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.delenv("QSWALK_WORKERS", raising=False)
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    kernel = counting("kernel", q.lindblad._spreading_kernel)
+    monkeypatch.setattr("qswalk.lindblad._spreading_kernel", kernel)
+    monkeypatch.setattr("qswalk.tilt._spreading_kernel", kernel)
+    six = Path(q.__file__).parent / "data" / "six_node.edges"
+    assert main(["simulate", "--input", str(six), "--t-max", "2", "--n-traj", "2"]) == 0
+    assert len(_rows(capsys.readouterr().out)) == 7
+    assert calls == {"eigh": 1, "kernel": 2}
+
+
 def test_simulate_leaves_numpy_random_unimported(two_node_file, tmp_path):
     # the jump engine computes its Philox streams itself; numpy.random
     # costs tens of ms and several MB at first import
@@ -479,6 +502,28 @@ def test_active_limit_needs_a_single_closed_class(tmp_path, capsys):
     row = dict(zip(*_rows(capsys.readouterr().out)))
     alpha_norm = [float(row[f"alpha_norm_{k}"]) for k in (1, 2, 3)]
     assert_allclose(alpha_norm, [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
+
+
+def test_fd_scan_of_several_closed_classes_prints_error_cells(tmp_path, capsys):
+    # two closed classes make the leading eigenvalue of W_s 2-fold, so
+    # theta has a kink that finite differences would read as curvature
+    disc = tmp_path / "disconnected.edges"
+    disc.write_text("n 4\n0 1\n1 0\n2 3\n3 2\n")
+    args = [
+        "scan", "--input", str(disc), "--damping", "1", "--coherent-weight", "0",
+        "--s-steps", "3",
+    ]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    assert len(rows) == 4
+    for row in rows[1:]:
+        assert all(cell == "" for cell in row[1:-1])  # no numbers at all
+        assert "2-fold" in row[-1]
+    assert "too few defined points" in captured.err
+    model = q.build_qsw(q.parse_edge_list(disc.read_text()), damping=1.0, coherent_weight=0.0)
+    with pytest.raises(q.DegeneracyError, match="2-fold"):
+        q.free_energy(model, np.zeros(4))
 
 
 def test_unknown_command_exits_2():

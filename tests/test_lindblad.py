@@ -290,7 +290,7 @@ def test_steady_state_flags_a_wrong_rate_vector(six_node_model, monkeypatch):
     # stationary
     exact = q.null_vector
 
-    def perturbed(m, tol):
+    def perturbed(m, tol=1e-9):
         v = exact(m, tol=tol).real.copy()
         v[0] += 1e-6
         return v
@@ -373,22 +373,43 @@ def test_hermitian_generator_keeps_populations_in_place(six_node_model):
     )
 
 
-def test_hermitian_generator_is_cached_and_read_only(two_node_graph):
-    model = q.build_qsw(two_node_graph)
-    assert "hermitian_generator" not in vars(model)  # built lazily
-    w = model.hermitian_generator
-    assert model.hermitian_generator is w
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0, 0] = 1.0
+_CACHED = ("hermitian_generator", "eigenbasis", "renewal")
 
 
-def test_pickled_model_drops_the_cached_generator(two_node_graph):
+def _arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("name", _CACHED)
+def test_cached_property_is_lazy_and_read_only(two_node_graph, name):
     model = q.build_qsw(two_node_graph)
-    w = model.hermitian_generator
+    assert name not in vars(model)  # built lazily
+    w = getattr(model, name)
+    assert getattr(model, name) is w
+    for a in _arrays(w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("name", _CACHED)
+def test_pickled_model_drops_the_cached_property(two_node_graph, name):
+    model = q.build_qsw(two_node_graph)
+    w = getattr(model, name)
     clone = pickle.loads(pickle.dumps(model))
-    assert "hermitian_generator" not in vars(clone)
-    assert np.array_equal(clone.hermitian_generator, w)
+    assert name not in vars(clone)
+    for a, b in zip(_arrays(getattr(clone, name)), _arrays(w)):
+        assert np.array_equal(a, b)
+
+
+def test_renewal_is_the_column_stochastic_chain_of_the_eigenbasis(six_node_model):
+    lam, v = six_node_model.eigenbasis
+    assert_allclose(v @ np.diag(lam) @ v.T, six_node_model.hamiltonian, rtol=0, atol=1e-12)
+    t = six_node_model.renewal
+    assert_allclose(t.sum(axis=0), np.ones(6), rtol=0, atol=1e-12)
+    # at zero coherent weight M(1) = I, and T is G itself
+    classical = q.QswModel(np.zeros((6, 6)), six_node_model.amplitudes)
+    assert_allclose(classical.renewal, six_node_model.rates, rtol=0, atol=1e-15)
 
 
 def test_steady_state_is_solved_real_and_exactly_hermitian(six_node_graph, monkeypatch):

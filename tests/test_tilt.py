@@ -459,8 +459,8 @@ def test_scan_pooled_matches_serial_with_cached_generator(six_node_graph):
     model = q.build_qsw(six_node_graph)
     q.free_energy(model, np.zeros(6))  # populate the cache before pickling
     grid = [np.linspace(-0.5, 0.5, 6) + v for v in (-1.0, 0.0, 0.8, 2.0)]
-    serial = q.scan(model, grid, self_check=True)
-    pooled = q.scan(model, grid, self_check=True, n_workers=2)
+    serial = q.scan(model, grid)
+    pooled = q.scan(model, grid, n_workers=2)
     for a, b in zip(serial, pooled):
         assert a.error is None and b.error is None
         assert a.theta == b.theta
