@@ -28,9 +28,10 @@ import numpy as np
 
 from . import io as qio
 from .errors import EdgeListError, QswError, SizeBudgetError
-from .graph import google_matrix, pagerank, parse_edge_list
-from .lindblad import build_qsw, steady_state
+from .graph import DEFAULT_DAMPING, google_matrix, pagerank, parse_edge_list
+from .lindblad import DEFAULT_COHERENT_WEIGHT, build_qsw, steady_state
 from .tilt import (
+    DEFAULT_FD_STEP,
     activity,  # unused here; perfbench still patches qswalk.cli.activity
     active_limit_normalized_activity,
     dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
@@ -40,7 +41,15 @@ from .tilt import (
     uniform_tilt,
 )
 from .linalg import eig_general  # unused here; perfbench still patches qswalk.cli.eig_general
-from .trajectory import block_lanes, ensemble_stats, simulate
+from .trajectory import (
+    DEFAULT_DT,
+    DEFAULT_N_TRAJ,
+    DEFAULT_SEED,
+    DEFAULT_T_MAX,
+    block_lanes,
+    ensemble_stats,
+    simulate,
+)
 
 WORKERS_ENV = "QSWALK_WORKERS"
 
@@ -56,26 +65,29 @@ class RunConfig:
     command: str
     input: str
     output: str = "-"
-    damping: float = 0.85
-    coherent_weight: float = 1.0
+    damping: float = DEFAULT_DAMPING
+    coherent_weight: float = DEFAULT_COHERENT_WEIGHT
     s_min: float = -3.0
     s_max: float = 3.0
     s_steps: int = 61
-    fd_step: float = 1e-4
-    t_max: float = 100.0
-    dt: float = 1e-3
-    n_traj: int = 1000
-    seed: int = 0
+    fd_step: float = DEFAULT_FD_STEP
+    t_max: float = DEFAULT_T_MAX
+    dt: float = DEFAULT_DT
+    n_traj: int = DEFAULT_N_TRAJ
+    seed: int = DEFAULT_SEED
     limit_mode: str = "none"
     n_workers: Optional[int] = None
 
     def validate(self) -> None:
+        for name in ("damping", "coherent_weight", "s_min", "s_max", "fd_step", "t_max", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite")
         if self.s_steps < 1:
             raise ValueError("--s-steps must be >= 1")
         if self.s_max < self.s_min:
             raise ValueError("--s-max must be >= --s-min")
         for name in ("damping", "fd_step", "t_max", "dt"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.coherent_weight < 0:
             raise ValueError("--coherent-weight must be >= 0")
@@ -227,43 +239,31 @@ def cmd_simulate(cfg: RunConfig) -> int:
     block_lanes(model.n)  # refuses a model too large for the engine, before any work
     act0 = model.rates @ np.real(np.diag(steady_state(model)))  # as in ranks
     disp0 = stationary_dispersion(model, act0)
-    if cfg.n_traj == 1:
+    if cfg.n_traj == 1:  # no variance columns
         rec = simulate(model, None, cfg.t_max, cfg.dt, cfg.seed)
-        with _open_output(cfg.output) as fp:
-            qio.write_ensemble_csv(
-                fp,
-                mean_rate=rec.counts / cfg.t_max,
-                standard_errors=None,
-                var_rate=None,
-                dispersion_hat=None,
-                dispersion_se=None,
-                activity0=act0,
-                dispersion0=disp0,
-            )
-        if cfg.output != "-":
-            with open(cfg.output + ".events.csv", "w", encoding="utf-8", newline="") as fp:
-                qio.write_events_csv(fp, rec)
-        return EXIT_OK
-    stats = ensemble_stats(
-        model,
-        None,
-        cfg.t_max,
-        cfg.dt,
-        n_traj=cfg.n_traj,
-        seed0=cfg.seed,
-        n_workers=cfg.n_workers,
-    )
-    with _open_output(cfg.output) as fp:
-        qio.write_ensemble_csv(
-            fp,
-            mean_rate=stats.mean_rate,
-            standard_errors=stats.standard_errors,
-            var_rate=stats.var_rate,
-            dispersion_hat=stats.dispersion_hat,
-            dispersion_se=stats.dispersion_se,
-            activity0=act0,
-            dispersion0=disp0,
+        columns = (rec.counts / cfg.t_max, None, None, None, None)
+    else:
+        stats = ensemble_stats(
+            model,
+            None,
+            cfg.t_max,
+            cfg.dt,
+            n_traj=cfg.n_traj,
+            seed0=cfg.seed,
+            n_workers=cfg.n_workers,
         )
+        columns = (
+            stats.mean_rate,
+            stats.standard_errors,
+            stats.var_rate,
+            stats.dispersion_hat,
+            stats.dispersion_se,
+        )
+    with _open_output(cfg.output) as fp:
+        qio.write_ensemble_csv(fp, *columns, activity0=act0, dispersion0=disp0)
+    if cfg.n_traj == 1 and cfg.output != "-":
+        with open(cfg.output + ".events.csv", "w", encoding="utf-8", newline="") as fp:
+            qio.write_events_csv(fp, rec)
     return EXIT_OK
 
 

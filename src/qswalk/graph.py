@@ -9,7 +9,6 @@ and stationary vectors are right eigenvectors, ``G @ pi = pi``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +20,7 @@ StochasticMatrix = np.ndarray
 ProbabilityVector = np.ndarray
 
 DEFAULT_DAMPING = 0.85
+PAGERANK_TOL = 1e-12  # L1 change between iterates at which pagerank stops
 PAGERANK_MAX_ITER = 100_000
 
 
@@ -53,8 +53,8 @@ class DirectedGraph:
         return a
 
 
-def parse_edge_list(text: str | Iterable[str]) -> DirectedGraph:
-    """Parse an edge-list text stream into a :class:`DirectedGraph`.
+def parse_edge_list(text: str) -> DirectedGraph:
+    """Parse edge-list text into a :class:`DirectedGraph`.
 
     Format: one ``src dst`` pair per line, whitespace separated, 0-based
     indices.  An optional first record ``n <count>`` declares the node
@@ -64,16 +64,11 @@ def parse_edge_list(text: str | Iterable[str]) -> DirectedGraph:
     Raises :class:`EdgeListError` with the offending 1-based line number
     on malformed input.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-
     declared_n: int | None = None
     edges: set[tuple[int, int]] = set()
     seen_record = False
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -149,17 +144,13 @@ def google_matrix(g: DirectedGraph, damping: float = DEFAULT_DAMPING) -> Stochas
     return np.ascontiguousarray(damping * s + (1.0 - damping) / n)
 
 
-def pagerank(
-    g_matrix: StochasticMatrix,
-    tol: float = 1e-12,
-    max_iter: int = PAGERANK_MAX_ITER,
-) -> ProbabilityVector:
+def pagerank(g_matrix: StochasticMatrix) -> ProbabilityVector:
     """Stationary distribution of a column-stochastic matrix.
 
     Power iteration from the uniform vector until the L1 change between
-    iterates drops below ``tol``.  Raises :class:`ConvergenceError` with
-    the residual if the cap is hit (possible only for damping = 1 on a
-    reducible or periodic graph).
+    iterates drops below ``PAGERANK_TOL``.  Raises :class:`ConvergenceError`
+    with the residual if ``PAGERANK_MAX_ITER`` iterations do not get there
+    (possible only for damping = 1 on a reducible or periodic graph).
     """
     g_matrix = np.asarray(g_matrix, dtype=float)
     n = g_matrix.shape[0]
@@ -170,14 +161,14 @@ def pagerank(
         raise ValueError(f"matrix is not column-stochastic (column error {col_err:.2e})")
 
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         y = g_matrix @ x
         y /= y.sum()  # guard against drift
-        if np.abs(y - x).sum() <= tol:
+        if np.abs(y - x).sum() <= PAGERANK_TOL:
             return y
         x = y
     residual = np.abs(g_matrix @ x - x).sum()
     raise ConvergenceError(
-        f"pagerank did not reach tol={tol:g} in {max_iter} iterations "
+        f"pagerank did not reach tol={PAGERANK_TOL:g} in {PAGERANK_MAX_ITER} iterations "
         f"(residual {residual:.3e})"
     )

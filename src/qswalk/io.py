@@ -1,8 +1,7 @@
 """CSV serialization of results.
 
 All numeric cells use the ``%.17g`` format, which round-trips IEEE
-doubles exactly; complex cells are ``<re><+im>j`` (parseable by Python's
-``complex``).  Every writer emits a header row.  Undefined values
+doubles exactly.  Every writer emits a header row.  Undefined values
 (normalization or dispersion flagged as absent) become empty cells.
 """
 
@@ -15,12 +14,9 @@ import numpy as np
 
 
 def fmt(x) -> str:
-    """17-significant-digit cell for a real or complex scalar, '' for None."""
+    """17-significant-digit cell for a real scalar, '' for None."""
     if x is None:
         return ""
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        z = complex(x)
-        return f"{z.real:.17g}{z.imag:+.17g}j"
     return f"{float(x):.17g}"
 
 
@@ -92,14 +88,14 @@ def write_ensemble_csv(
     var_rate: Optional[np.ndarray],
     dispersion_hat: Optional[np.ndarray],
     dispersion_se: Optional[np.ndarray],
-    activity0: Optional[np.ndarray] = None,
-    dispersion0: Optional[Sequence] = None,
+    activity0: np.ndarray,
+    dispersion0: Sequence,
 ) -> None:
     """Per-node ensemble statistics with oracle comparison columns.
 
     Variance-derived columns may be None (single-trajectory runs) and
-    are then left empty, as are z-scores without a defined reference or
-    error bar.
+    are then left empty, as are z-scores without a defined reference
+    (a None entry of ``dispersion0``) or error bar.
     """
     n = len(mean_rate)
     writer = csv.writer(fp, lineterminator="\n")
@@ -119,13 +115,13 @@ def write_ensemble_csv(
     )
     for i in range(n):
         se = standard_errors[i] if standard_errors is not None else None
-        act = activity0[i] if activity0 is not None else None
+        act = activity0[i]
         z_act = None
-        if se is not None and act is not None and se > 0:
+        if se is not None and se > 0:
             z_act = (mean_rate[i] - act) / se
         disp = dispersion_hat[i] if dispersion_hat is not None else None
         dse = dispersion_se[i] if dispersion_se is not None else None
-        d0 = dispersion0[i] if dispersion0 is not None else None
+        d0 = dispersion0[i]
         z_disp = None
         if disp is not None and dse is not None and d0 is not None and dse > 0:
             z_disp = (disp - d0) / dse

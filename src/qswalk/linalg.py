@@ -39,6 +39,7 @@ ComplexMatrix = np.ndarray
 _REAL_PART_TIE = 1e-10  # eigenvalues closer than this in Re are tied
 _RESIDUAL_FACTOR = 1e-8  # eigenpair residual bound, relative to ||M||_F
 _SHIFT_FACTOR = 8.0 * np.finfo(float).eps  # inverse-iteration shift, relative to ||M||_F
+_KERNEL_TOL = 1e-9  # null_vector: |eigenvalue| counted as zero, relative to max(1, ||M||_F)
 
 
 @dataclass(frozen=True)
@@ -184,19 +185,17 @@ def to_hermitian_basis(m: ComplexMatrix) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
-def null_vector(m: ComplexMatrix, tol: float = 1e-9) -> np.ndarray:
+def null_vector(m: ComplexMatrix) -> np.ndarray:
     """Unit vector spanning the (simple) kernel of ``m``.
 
     The eigenvalue nearest zero must be the only one within
-    ``tol * max(1, ||M||_F)``; otherwise a :class:`DegeneracyError` is
+    ``1e-9 * max(1, ||M||_F)``; otherwise a :class:`DegeneracyError` is
     raised, which downstream signals non-relaxing dynamics.  As in
     :func:`eig_general`, real input stays real.
     """
     m = _real_or_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     try:
         values, vectors = np.linalg.eig(m)
@@ -204,11 +203,11 @@ def null_vector(m: ComplexMatrix, tol: float = 1e-9) -> np.ndarray:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
     scale = max(1.0, float(np.linalg.norm(m)))
-    near_zero = np.flatnonzero(np.abs(values) <= tol * scale)
+    near_zero = np.flatnonzero(np.abs(values) <= _KERNEL_TOL * scale)
     if near_zero.size != 1:
         raise DegeneracyError(
             f"kernel dimension {near_zero.size} within tol*scale="
-            f"{tol * scale:.3e}; expected a simple zero eigenvalue"
+            f"{_KERNEL_TOL * scale:.3e}; expected a simple zero eigenvalue"
         )
     v = vectors[:, near_zero[0]]
     return v / np.linalg.norm(v)

@@ -55,6 +55,7 @@ from .linalg import integrate_linear, null_vector, to_hermitian_basis, unvec, ve
 DensityMatrix = np.ndarray
 Superoperator = np.ndarray
 
+DEFAULT_COHERENT_WEIGHT = 1.0
 _STEADY_RESIDUAL_TOL = 1e-8
 
 # Largest model whose dense n^2 x n^2 superoperators are assembled: at 64
@@ -150,7 +151,7 @@ class QswModel:
 def build_qsw(
     g: DirectedGraph,
     damping: float = DEFAULT_DAMPING,
-    coherent_weight: float = 1.0,
+    coherent_weight: float = DEFAULT_COHERENT_WEIGHT,
 ) -> QswModel:
     """Assemble the walk model for a directed graph.
 
@@ -159,8 +160,8 @@ def build_qsw(
     entries, so every strictly positive entry is a jump.
     coherent_weight = 0 yields the purely classical dissipative walk.
     """
-    if coherent_weight < 0:
-        raise ValueError(f"coherent_weight must be >= 0, got {coherent_weight}")
+    if not 0 <= coherent_weight < np.inf:
+        raise ValueError(f"coherent_weight must be finite and >= 0, got {coherent_weight}")
     h = coherent_weight * symmetrized_adjacency(g)
     return QswModel(h, np.sqrt(google_matrix(g, damping)))
 
@@ -206,8 +207,8 @@ def liouvillian(model: QswModel) -> Superoperator:
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     rates = model.rates
     lmat[:: n + 1, :: n + 1] += rates  # the population block
-    d = np.diag(rates.sum(axis=0))
-    lmat -= 0.5 * (np.kron(eye, d) + np.kron(d.T, eye))
+    d = rates.sum(axis=0)  # the diagonal of sum_k L_k^dag L_k
+    lmat.flat[:: n * n + 1] -= 0.5 * np.add.outer(d, d).ravel()  # the anticommutator
     return lmat
 
 

@@ -178,21 +178,17 @@ def _stencil(model: QswModel, s: np.ndarray, h: float):
 
 
 def activity(
-    model: QswModel,
-    s,
-    h: float = DEFAULT_FD_STEP,
-    self_check: bool = True,
-    check_tol: float = _SELF_CHECK_TOL,
+    model: QswModel, s, h: float = DEFAULT_FD_STEP, self_check: bool = True
 ) -> np.ndarray:
     """Per-node activity alpha_i = -d(theta)/d(s_i) by central differences.
 
     ``self_check=True`` repeats the stencil at h/2 and raises
-    :class:`ConvergenceError` if any component moves by more than
-    ``check_tol`` — the Richardson guard against an ill-chosen step.
+    :class:`ConvergenceError` if any component moves by more than 1e-6
+    — the Richardson guard against an ill-chosen step.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("finite-difference step must be positive")
-    return _observables(model, _as_tilt(model, s), h, self_check, check_tol).alpha
+    return _observables(model, _as_tilt(model, s), h, self_check).alpha
 
 
 def activity_from_steady_state(model: QswModel) -> np.ndarray:
@@ -236,25 +232,19 @@ def stationary_dispersion(model: QswModel, alpha) -> tuple:
     )
 
 
-def dispersion(
-    model: QswModel,
-    s,
-    h: float = DEFAULT_FD_STEP,
-    self_check: bool = True,
-    check_tol: float = _SELF_CHECK_TOL,
-):
+def dispersion(model: QswModel, s, h: float = DEFAULT_FD_STEP):
     """Per-node index of dispersion and its global sum.
 
     delta_i = -d2(theta)/d(s_i)2 / (d(theta)/d(s_i)): the variance-to-
     mean ratio of the node's jump count.  Components where the first
     derivative magnitude falls below 1e-12 are returned as None (the
     ratio is undefined there), and delta_global is None whenever any
-    component is.  Returns ``(delta, delta_global)``.
+    component is.  The step-halving self-check of :func:`activity`
+    always runs.  Returns ``(delta, delta_global)``.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("finite-difference step must be positive")
-    s = _as_tilt(model, s)
-    point = _observables(model, s, h, self_check=self_check, check_tol=check_tol)
+    point = _observables(model, _as_tilt(model, s), h, self_check=True)
     return point.delta, point.delta_global
 
 
@@ -270,11 +260,7 @@ def normalized_activity(alpha) -> np.ndarray:
 
 
 def _observables(
-    model: QswModel,
-    s: np.ndarray,
-    h: float,
-    self_check: bool = False,
-    check_tol: float = _SELF_CHECK_TOL,
+    model: QswModel, s: np.ndarray, h: float, self_check: bool = False
 ) -> ThermoPoint:
     """All observables at one tilt from a shared derivative stencil."""
     t0, tp, tm = _stencil(model, s, h)
@@ -283,9 +269,9 @@ def _observables(
         _t0b, tp2, tm2 = _stencil(model, s, 0.5 * h)
         alpha_half = -(tp2 - tm2) / h
         drift = np.abs(alpha - alpha_half).max()
-        if drift > check_tol:
+        if drift > _SELF_CHECK_TOL:
             raise ConvergenceError(
-                f"step-halving drift {drift:.3e} exceeds {check_tol:g} at s={s}"
+                f"step-halving drift {drift:.3e} exceeds {_SELF_CHECK_TOL:g} at s={s}"
             )
         alpha = alpha_half
     second = (tp - 2.0 * t0 + tm) / (h * h)
@@ -346,7 +332,7 @@ def scan(
     """
     if len(s_grid) == 0:
         raise ValueError("s_grid must be non-empty")
-    if h <= 0:
+    if not h > 0:
         raise ValueError("finite-difference step must be positive")
     check_dense_budget(model.n)
     jobs = [(model, s, h) for s in s_grid]

@@ -196,12 +196,12 @@ def from_hermitian_basis(x):
     return v
 
 
-def dense_steady_state(model, tol=1e-9):
+def dense_steady_state(model):
     """Stationary density matrix as the kernel of the dense n^2 x n^2
     generator: the null vector of the real Hermitian-basis Liouvillian,
     trace-normalized by its population coordinates i*(n+1) and mapped
     back to a complex matrix."""
-    x = q.null_vector(model.hermitian_generator, tol=tol).real
+    x = q.null_vector(model.hermitian_generator).real
     x = x / x[:: model.n + 1].sum()
     return q.unvec(from_hermitian_basis(x))
 

@@ -408,6 +408,28 @@ def test_bad_parameters_exit_2(two_node_file, extra, capsys):
     assert main(["pagerank", "--input", two_node_file] + extra) == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("pagerank", "--damping", "nan"),
+        ("ranks", "--coherent-weight", "nan"),
+        ("ranks", "--coherent-weight", "inf"),
+        ("scan", "--s-min", "nan"),
+        ("scan", "--s-max", "inf"),
+        ("scan", "--fd-step", "nan"),
+        ("scan", "--fd-step", "inf"),
+        ("simulate", "--t-max", "inf"),
+        ("simulate", "--t-max", "nan"),
+        ("simulate", "--dt", "nan"),
+    ],
+)
+def test_non_finite_flags_exit_2(two_node_file, command, flag, value, capsys):
+    assert main([command, "--input", two_node_file, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qswalk: {flag} must be finite\n"
+
+
 def test_bad_scan_grid_exits_2(two_node_file):
     assert main(
         ["scan", "--input", two_node_file, "--s-min", "1", "--s-max", "-1"]

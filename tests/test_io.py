@@ -23,9 +23,6 @@ def test_fmt_cells():
     assert fmt(None) == ""
     assert fmt(0.5) == "0.5"
     assert fmt(1.0 / 3.0) == "0.33333333333333331"
-    assert fmt(1 + 2j) == "1+2j"
-    assert fmt(-0.25 - 0.75j) == "-0.25-0.75j"
-    assert complex(fmt(0.1 - 0.3j)) == 0.1 - 0.3j  # parseable round trip
     x = np.random.default_rng(3).standard_normal(50)
     assert [float(fmt(v)) for v in x] == list(x)  # %.17g is exact for doubles
 
@@ -128,11 +125,14 @@ def test_ensemble_csv_single_trajectory_columns():
         var_rate=None,
         dispersion_hat=None,
         dispersion_se=None,
+        activity0=np.array([0.4]),
+        dispersion0=[1.0],
     )
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     row = dict(zip(rows[0], rows[1]))
     assert row["mean_rate"] == "0.5"
-    for col in ("std_error", "var_rate", "dispersion_hat", "z_activity"):
+    assert row["activity0"] == "0.40000000000000002"
+    for col in ("std_error", "var_rate", "dispersion_hat", "z_activity", "z_dispersion"):
         assert row[col] == ""
 
 
