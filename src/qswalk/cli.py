@@ -9,9 +9,10 @@ failure or a model too large: for the dense generator, which only
 ``scan`` grids build, or for one trajectory of the jump engine.  The
 reference columns of ``simulate`` are exact n x n values, the stationary
 jump rates and :func:`~qswalk.tilt.stationary_dispersion`.  The
-environment variable
-``QSWALK_WORKERS`` sets the process count for scans and ensembles
-(default: serial).
+environment variable ``QSWALK_WORKERS`` bounds the process count of
+scans and ensembles (default: serial): a scan uses at most one process
+per point, an ensemble at most one per trajectory and per
+``trajectory._POOL_WEIGHTS`` jump weights (n_traj x n^2).
 """
 
 from __future__ import annotations

@@ -17,10 +17,14 @@ c is row dst of V.
 
 A block of trajectories ("lanes") advances in lock-step rounds of one
 jump each, and every per-lane step is an array operation across the
-lanes.  Lanes keep fixed columns of lane-major arrays; a lane whose next
-jump would come at or after the horizon is masked off and its later
-rounds are discarded.  A lane's result does not depend on the block size
-or on its position in the block:
+lanes.  States are (n, lanes) arrays; jump weights are lane-major,
+(lanes, n^2), so that each lane's prefix sum runs along the contiguous
+axis, in sub-blocks of lanes that stay in cache.  Each chunk of 32
+rounds of draws gives the chunk's jump times up front: lanes that have
+left (their next jump would come at or after the horizon) are dropped,
+and the rest are put in order of falling jump count, so that each round
+steps a prefix of the columns.  A lane's result does not depend on the
+block size or on its position in the block:
 
 * States are held as real vectors (Re, Im), and every product is a
   sequence of elementwise float64 operations in a fixed order, never a
@@ -42,6 +46,7 @@ from .lindblad import QswModel
 
 _ROUNDS = 32  # jumps per chunk of draws
 _DRAWS = 2 * _ROUNDS  # uniforms per lane and chunk: r, then u, per jump
+_CACHE_WEIGHTS = 1 << 16  # jump weights per sub-block of lanes (512 KiB)
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the two multipliers,
 # each with its 32-bit halves, and the Weyl increments of the key
@@ -85,33 +90,30 @@ def uniforms(keys: np.ndarray, chunk: int) -> np.ndarray:
     return (words.reshape(len(keys), _DRAWS) >> _11) * 2.0**-53
 
 
-def _matvec(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-lane products sum_j cols[j] * x[j], summed in column order.
-
-    ``x`` holds one vector per lane (last axis); ``cols[j]`` is column j
-    of the matrix, shared through a last axis of length 1.
-    """
-    y = cols[0] * x[0]
-    for j in range(1, len(x)):
-        y += cols[j] * x[j]
-    return y
-
-
-def choose_jump(rates: np.ndarray, q: np.ndarray, u: np.ndarray):
-    """Pick each lane's jump from source weights ``q`` (n, lanes), the
+def choose_jump(rates: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Pick each lane's jump from source weights ``q`` (lanes, n), the
     squared amplitudes at the jump, with uniforms ``u``.
 
-    ``rates`` is the model's rate matrix broadcast over lanes,
-    ``model.rates[:, :, None]``.  Returns destinations and sources.
+    ``rates`` is ``model.rates.ravel()``.  Lane l sums w[l, i*n + j] =
+    q[l, j] rates[i*n + j] (jump j -> i) in that order and takes the first
+    bin whose prefix sum exceeds u times the total, else the last bin, or
+    the heaviest if the last is empty.  Lanes go in sub-blocks whose
+    weights stay in cache.  Returns the bins.
     """
-    n = len(q)
-    w = (rates * q).reshape(n * n, -1)  # w[i*n + j]: rate of jump j -> i now
-    csum = np.add.accumulate(w, axis=0)
-    idx = np.minimum((csum <= u * csum[-1]).sum(axis=0), n * n - 1)
-    empty = w[idx, np.arange(len(u))] == 0.0  # threshold on an empty bin edge
-    if empty.any():
-        idx[empty] = np.argmax(w[:, empty], axis=0)
-    return np.divmod(idx, n)
+    lanes, n = q.shape
+    step = max(1, _CACHE_WEIGHTS // (n * n))
+    src = np.arange(n * n) % n
+    idx = np.empty(lanes, dtype=np.intp)
+    for k in range(0, lanes, step):
+        w = q[k:k + step, src]
+        w *= rates
+        csum = np.add.accumulate(w, axis=1)
+        above = csum > (u[k:k + step] * csum[:, -1])[:, None]
+        idx[k:k + step] = above.argmax(axis=1)  # weights are >= 0: sums never fall
+        if not above[:, -1].all():
+            full = np.flatnonzero(~above[:, -1])
+            idx[k + full] = np.where(w[full, -1] > 0, n * n - 1, w[full].argmax(axis=1))
+    return idx
 
 
 def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=False):
@@ -124,41 +126,59 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
     """
     n, n_lanes = model.n, len(seeds)
     lam, v = model.eigenbasis
-    cols = v.T[:, :, None]  # cols[a]: eigenvector a, for every lane
-    rates = model.rates[:, :, None]  # rates[i, j]: j -> i, for every lane
-    keys = np.fromiter(seeds, dtype=np.uint64, count=n_lanes)
-    c0 = v.T @ psi0
+    vt = v.T  # vt[:, d]: the coefficients of |d>; vt[a]: eigenvector a
+    cols = vt[:, :, None]  # cols[a]: eigenvector a, for every lane
+    c0 = vt @ psi0
     re = np.tile(c0.real[:, None], (1, n_lanes))
-    im = np.tile(c0.imag[:, None], (1, n_lanes))  # None once every lane has jumped
+    im = c0.imag[:, None]  # the same for every lane; None once every lane has jumped
+    ids = np.arange(n_lanes)  # the lane in each column
+    keys = np.fromiter(seeds, dtype=np.uint64, count=n_lanes)
     t_abs = np.zeros(n_lanes)
-    live = np.ones(n_lanes, dtype=bool)
-    lanes = np.arange(n_lanes)
-    counts = np.zeros((n_lanes, n), dtype=np.int64)
+    rates = model.rates.ravel()
+    counts = np.zeros(n_lanes * n, dtype=np.int64)  # counts[lane * n + destination]
     events = [[] for _ in seeds] if record else None
-    rnd = 0
-    while True:
-        # every lane has jumped once per earlier round, so every lane sits
-        # at the same place in its own stream
-        col = rnd % _ROUNDS
-        if col == 0:
-            draws = uniforms(keys, rnd // _ROUNDS).T  # (_DRAWS, lanes)
-            tau, u = -np.log(draws[0::2]), draws[1::2]
-        rnd += 1
-        t_abs += tau[col]
-        live &= t_abs < t_max
-        if not live.any():
-            return counts, events
-        phase = lam[:, None] * tau[col]
-        c, s = np.cos(phase), np.sin(phase)
-        # V exp(-i lam tau) c, but for the sign of Im, which the weights square
-        x_re, x_im = c * re, s * re
-        if im is not None:
-            x_re += s * im
-            x_im -= c * im
-        psi_re, psi_im = _matvec(cols, x_re), _matvec(cols, x_im)
-        dst, src = choose_jump(rates, psi_re * psi_re + psi_im * psi_im, u[col])
-        re, im = v.T[:, dst], None
-        counts[lanes, dst] += live
+    chunk = 0
+    while len(ids):
+        draws = uniforms(keys, chunk)
+        chunk += 1
+        tau = -np.log(draws[:, 0::2])
+        # jump times, added one round at a time as t_abs += tau would
+        times = np.empty((len(ids), _ROUNDS + 1))
+        times[:, 0], times[:, 1:] = t_abs, tau
+        times = np.add.accumulate(times, axis=1)[:, 1:]
+        jumps = (times < t_max).sum(axis=1, dtype=np.uint8)
+        # columns by falling jump count, so that round r steps a prefix
+        order = np.argsort(_ROUNDS - jumps)  # ties in any order: lanes are independent
+        ids, keys, tau, u, times, jumps = (
+            a[order] for a in (ids, keys, tau, draws[:, 1::2], times, jumps))
+        re = re[:, order]
+        bins = np.zeros((_ROUNDS, len(ids)), dtype=np.intp)
+        live = (jumps > np.arange(_ROUNDS)[:, None]).sum(axis=1)  # lanes in each round
+        for r, m in enumerate(live[live > 0].tolist()):
+            phase = lam[:, None] * tau[:m, r]
+            cs = np.empty((2, n, m))
+            np.cos(phase, out=cs[0])
+            np.sin(phase, out=cs[1])
+            # V exp(-i lam tau) c, but for the sign of Im, which the weights square
+            x = cs * re[:, :m]
+            if im is not None:
+                x[0] += cs[1] * im
+                x[1] -= cs[0] * im
+                im = None
+            y = cols[0] * x[:, :1]  # V x, summed in column order
+            tmp = np.empty_like(y)
+            for a in range(1, n):
+                y += np.multiply(cols[a], x[:, a:a + 1], out=tmp)
+            y *= y
+            bins[r, :m] = choose_jump(rates, (y[0] + y[1]).T, u[:m, r])
+            re = vt[:, np.divmod(bins[r, :m], n)[0]]
+        dst, src = np.divmod(bins, n)
+        counts += np.bincount((ids * n + dst)[np.arange(_ROUNDS)[:, None] < jumps],
+                              minlength=len(counts))
         if record:
-            for k in np.flatnonzero(live):
-                events[k].append((float(t_abs[k]), int(dst[k]), int(src[k])))
+            for k, (lane, j) in enumerate(zip(ids.tolist(), jumps.tolist())):
+                events[lane] += zip(times[k, :j].tolist(), dst[:j, k].tolist(), src[:j, k].tolist())
+        keep = live[-1]  # lanes that jumped in every round: all at one place in their streams
+        ids, keys, t_abs, re = ids[:keep], keys[:keep], times[:keep, -1].copy(), re[:, :keep]
+        del draws, tau, u, times, bins, dst, src  # free the chunk before the next draws
+    return counts.reshape(n_lanes, n), events

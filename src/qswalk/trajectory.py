@@ -33,6 +33,7 @@ DEFAULT_N_TRAJ = 1000
 DEFAULT_SEED = 0
 _BLOCK = 1024  # lanes advanced together
 _LANE_WEIGHTS = 1024 * 64 * 64  # jump weights (lanes x n^2 doubles) per block
+_POOL_WEIGHTS = 20000  # jump weights (n_traj x n^2) per worker below which a fork does not pay
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,10 @@ def ensemble_stats(
 
     Trajectory idx uses the stream keyed by seed0 + idx, so the ensemble
     is reproducible and insensitive to how work is distributed.  With
-    ``n_workers`` > 1 the seed range is split across a process pool.
+    ``n_workers`` > 1 the seed range is split across at most that many
+    processes and at most one per trajectory and per ``_POOL_WEIGHTS``
+    jump weights (n_traj x n^2), so that an ensemble too small to pay for
+    a fork runs in this process.
     ``dt`` is checked to be positive and otherwise ignored, as in
     :func:`simulate`.
     """
@@ -153,9 +157,9 @@ def ensemble_stats(
     block_lanes(model.n)
     psi = _initial_state(model, psi0, t_max, dt)
     seeds = range(seed0, seed0 + n_traj)
+    k = _pool_size(n_workers, min(n_traj, n_traj * model.n ** 2 // _POOL_WEIGHTS))
     chunks = [
-        (model, psi, t_max, seeds[part[0]:part[-1] + 1])
-        for part in np.array_split(np.arange(n_traj), _pool_size(n_workers, n_traj))
+        (model, psi, t_max, seeds[n_traj * i // k:n_traj * (i + 1) // k]) for i in range(k)
     ]
     counts = np.concatenate(_fan_out(_counts_block, chunks, n_workers), axis=0)
 

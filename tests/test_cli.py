@@ -214,16 +214,21 @@ class _InProcessPool:
 
 
 def test_worker_pool_is_no_larger_than_the_work(two_node_file, monkeypatch, capsys):
+    # QSWALK_WORKERS is an upper bound: a scan gets one worker per point,
+    # an ensemble one per _POOL_WEIGHTS jump weights (n_traj x n^2)
     scan_args = ["scan", "--input", two_node_file, "--s-min", "-0.5", "--s-max", "0.5", "--s-steps", "4"]
     sim_args = ["simulate", "--input", two_node_file, "--t-max", "5", "--n-traj", "2"]
-    assert main(scan_args) == 0 and main(sim_args) == 0
+    big = str(2 * trajectory._POOL_WEIGHTS // 4)  # two workers' worth of two-node lanes
+    big_args = ["simulate", "--input", two_node_file, "--t-max", "0.5", "--n-traj", big]
+    runs = (scan_args, sim_args, big_args)
+    assert all(main(args) == 0 for args in runs)
     serial = capsys.readouterr().out
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setenv("QSWALK_WORKERS", "500")
-    assert main(scan_args) == 0 and main(sim_args) == 0
+    assert all(main(args) == 0 for args in runs)
     assert capsys.readouterr().out == serial
-    assert _InProcessPool.sizes == [4, 2]  # one worker per scan point, per trajectory
+    assert _InProcessPool.sizes == [4, 2]  # the 2-trajectory ensemble forks nothing
 
 
 def test_non_integer_worker_count_exits_2(two_node_file, monkeypatch, capsys):

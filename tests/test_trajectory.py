@@ -9,6 +9,8 @@ and a time-stepping RK4 one), and for bitwise reproducibility under its
 counter-based generator, whatever block of lanes a trajectory runs in.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ import qswalk as q
 from qswalk import jumps, trajectory
 from qswalk.jumps import choose_jump, run_lanes, uniforms
 from qswalk.trajectory import _counts_block
-from oracles import exact_trajectory, reconstruct_state, scalar_trajectory
+from oracles import _choose_jump, exact_trajectory, reconstruct_state, scalar_trajectory
 
 
 # -- simulate: record contract and determinism --------------------------------
@@ -175,6 +177,37 @@ def test_lane_matches_simulate_whatever_the_block(graph, request):
         assert np.array_equal(rec.counts, split_counts[k])
 
 
+@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
+def test_lanes_leaving_in_different_chunks_match_oracles(graph, request):
+    # lanes leave in the second, third or fourth chunk of 32 rounds at
+    # t = 70, and in the first or second at t = t33, the time of seed
+    # 300's 33rd jump: that lane makes exactly 32 jumps and leaves at the
+    # first round of its second chunk
+    model = request.getfixturevalue(graph)
+    seeds = list(range(300, 364))
+    draws = np.concatenate([uniforms(np.array([300], dtype=np.uint64), c)[0] for c in (0, 1, 2)])
+    times = list(itertools.accumulate(-np.log(draws[0::2])))  # one jump at a time
+    t33 = times[32]
+    for t_max in (70.0, t33):
+        counts, events = _lanes(model, seeds, t_max)
+        rev = seeds[::-1]
+        split = [_lanes(model, rev[k:k + 5], t_max) for k in range(0, len(rev), 5)]
+        split_counts = np.concatenate([c for c, _ in split])[::-1]
+        split_events = [e for _, ev in split for e in ev][::-1]
+        leaves = counts.sum(axis=1) // jumps._ROUNDS  # the chunk each lane leaves in
+        assert len(set(leaves.tolist())) >= 2
+        for k, seed in enumerate(seeds):
+            rec = q.simulate(model, t_max=t_max, seed=seed)
+            assert rec.jump_events == tuple(events[k]) == tuple(split_events[k])
+            assert np.array_equal(rec.counts, counts[k])
+            assert np.array_equal(rec.counts, split_counts[k])
+            ref_counts, ref_events = exact_trajectory(model, t_max, seed)
+            assert np.array_equal(counts[k], ref_counts), seed
+            assert [e[1:] for e in events[k]] == [e[1:] for e in ref_events], seed
+        assert [e[0] for e in events[0]] == times[:len(events[0])]  # bitwise, across chunks
+    assert len(events[0]) == jumps._ROUNDS  # at t_max = t33
+
+
 def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
     args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, range(40, 70))
     whole = _counts_block(args)
@@ -249,12 +282,28 @@ def test_lane_past_the_horizon_records_no_event(two_node_model):
 def test_jump_choice_falls_back_from_an_empty_bin(two_node_model):
     # all weight on node 0, so every jump out of node 1 has weight 0;
     # u = 1 lands the threshold on the last bin, 1 -> 1, which is empty
-    q0 = np.array([[1.0], [0.0]])
-    w = (two_node_model.rates * np.array([1.0, 0.0])).ravel()
-    dst, src = choose_jump(two_node_model.rates[:, :, None], q0, np.array([1.0]))
+    q0 = np.array([[1.0, 0.0]])  # one lane's weights, lane-major
+    w = (two_node_model.rates * q0).ravel()
+    bins = choose_jump(two_node_model.rates.ravel(), q0, np.array([1.0]))
+    dst, src = divmod(int(bins[0]), 2)
     assert w[-1] == 0.0
-    assert divmod(int(np.argmax(w)), 2) == (dst[0], src[0])
-    assert src[0] == 0
+    assert divmod(int(np.argmax(w)), 2) == (dst, src)
+    assert src == 0
+
+
+def test_jump_choice_is_independent_of_the_sub_block(six_node_model, monkeypatch):
+    # lanes in sub-blocks of any size pick their bins as the one-lane
+    # oracle does; lanes 3 and 17 have u = 1 and no weight on source 5, so
+    # their last bin is empty and they take the fallback
+    rng = np.random.default_rng(11)
+    amp = rng.random((37, 6)) ** 2
+    u = rng.random(37)
+    amp[[3, 17], 5], u[[3, 17]] = 0.0, 1.0
+    rates = six_node_model.rates
+    expected = [6 * d + s for d, s in (_choose_jump(rates, a, x) for a, x in zip(amp, u))]
+    for lanes in (1, 4, 36, 37, 100):
+        monkeypatch.setattr(jumps, "_CACHE_WEIGHTS", 36 * lanes)
+        assert choose_jump(rates.ravel(), amp * amp, u).tolist() == expected, lanes
 
 
 # -- ensemble_stats --------------------------------------------------------------
@@ -280,14 +329,49 @@ def test_ensemble_matches_manual_loop(two_node_model):
     assert stats.n_traj == 6
 
 
-def test_ensemble_parallel_matches_serial(two_node_model):
+def test_ensemble_parallel_matches_serial(two_node_model, monkeypatch):
     serial = q.ensemble_stats(two_node_model, t_max=5.0, dt=0.05, n_traj=8, seed0=7)
+    monkeypatch.setattr(trajectory, "_POOL_WEIGHTS", 1)  # fork two real workers for 32 weights
     parallel = q.ensemble_stats(
         two_node_model, t_max=5.0, dt=0.05, n_traj=8, seed0=7, n_workers=2
     )
     assert np.array_equal(serial.mean_rate, parallel.mean_rate)
     assert np.array_equal(serial.var_rate, parallel.var_rate)
     assert np.array_equal(serial.dispersion_hat, parallel.dispersion_hat)
+
+
+@pytest.mark.parametrize("n, workers", [(6, 1), (24, 2), (64, 2)])
+def test_pool_forks_only_for_ensembles_that_pay(n, workers, monkeypatch):
+    # 200 trajectories under n_workers=2: six nodes' 7,200 jump weights
+    # run in this process, 24 and 64 nodes split over two workers
+    ring = q.DirectedGraph(n=n, edges=frozenset((i, (i + 1) % n) for i in range(n)))
+    jobs = []
+
+    def fan_out(fn, chunks, n_workers):
+        jobs.append(len(chunks))
+        return [fn(c) for c in chunks]
+
+    monkeypatch.setattr(trajectory, "_fan_out", fan_out)
+    q.ensemble_stats(q.build_qsw(ring), t_max=0.05, n_traj=200, n_workers=2)
+    assert jobs == [workers]
+
+
+def test_pool_has_no_more_workers_than_trajectories(two_node_model, monkeypatch):
+    # with one worker's worth of weights in every jump weight, 2
+    # trajectories under n_workers=4 still make 2 jobs, none of them empty
+    serial = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3)
+    jobs = []
+
+    def fan_out(fn, chunks, n_workers):
+        jobs.append([len(c[-1]) for c in chunks])
+        return [fn(c) for c in chunks]
+
+    monkeypatch.setattr(trajectory, "_POOL_WEIGHTS", 1)
+    monkeypatch.setattr(trajectory, "_fan_out", fan_out)
+    pooled = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3, n_workers=4)
+    assert jobs == [[1, 1]]
+    assert np.array_equal(serial.mean_rate, pooled.mean_rate)
+    assert np.array_equal(serial.dispersion_hat, pooled.dispersion_hat)
 
 
 def test_ensemble_rejects_seed_range_past_64_bits(two_node_model):
