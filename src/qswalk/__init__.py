@@ -54,7 +54,6 @@ from .tilt import (
     scan,
     stationary_dispersion,
     tilted_superoperator,
-    tilted_superoperator_per_jump,
     uniform_tilt,
 )
 from .trajectory import (
@@ -108,7 +107,6 @@ __all__ = [
     "steady_state",
     "symmetrized_adjacency",
     "tilted_superoperator",
-    "tilted_superoperator_per_jump",
     "unvec",
     "uniform_tilt",
     "vec",

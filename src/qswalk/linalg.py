@@ -91,7 +91,8 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     real and goes to the real driver (``dgeev``), whose complex
     eigenvalues come in exact conjugate pairs; only complex input is
     solved in complex arithmetic.  The leading eigenvector alone is then
-    taken by inverse iteration (:func:`_eigenvector`).
+    taken by inverse iteration (:func:`_eigenvector`), in real arithmetic
+    when the input and the leading eigenvalue are both real.
     """
     m = _real_or_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -103,11 +104,14 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     try:
         values = np.linalg.eigvals(m)
         lead = _select_leading(values)
-        v = _eigenvector(m, values[lead], scale)
+        lam = values[lead]
+        if not np.iscomplexobj(m) and lam.imag == 0:  # a real pair: solve in float64
+            lam = lam.real
+        v = _eigenvector(m, lam, scale)
     except np.linalg.LinAlgError as exc:  # QR failed to converge
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    residual = np.linalg.norm(m @ v - values[lead] * v)
+    residual = np.linalg.norm(m @ v - lam * v)
     if scale > 0 and residual > _RESIDUAL_FACTOR * scale:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:g}*||M||_F"

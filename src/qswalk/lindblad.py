@@ -183,9 +183,9 @@ def tilt_recycling(w: np.ndarray, model: QswModel, factors) -> np.ndarray:
     ``factors`` broadcasts to n x n: the jump j -> i has its term at
     (i*(n+1), j*(n+1)) scaled by ``factors[i, j]``, i.e. that entry gains
     (factors[i, j] - 1) * amplitudes[i, j]**2.  Per-node counting passes
-    ``exp(-s)[:, None]``, per-jump counting ``exp(-s_matrix)``.  The
-    populations sit on those indices both over column-stacked states and
-    in the Hermitian basis, so ``w`` may be either form.
+    ``exp(-s)[:, None]``.  The populations sit on those indices both over
+    column-stacked states and in the Hermitian basis, so ``w`` may be
+    either form.
     """
     a = model.amplitudes
     w[:: model.n + 1, :: model.n + 1] += (factors - 1.0) * a * a  # the population block

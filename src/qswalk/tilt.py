@@ -109,18 +109,6 @@ def tilted_superoperator(model: QswModel, s) -> Superoperator:
     return tilt_recycling(liouvillian(model), model, np.exp(-s)[:, None])
 
 
-def tilted_superoperator_per_jump(model: QswModel, s_matrix) -> Superoperator:
-    """Edge-resolved variant: entry (i, j) of ``s_matrix`` biases the
-    single jump j -> i.  Counting groups of the node-level API are the
-    rows of this matrix at a common value."""
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    if s_matrix.shape != (model.n, model.n):
-        raise ValueError(f"s_matrix must be {model.n} x {model.n}")
-    if not np.all(np.isfinite(s_matrix)) or np.any(-s_matrix > _EXP_ARG_LIMIT):
-        raise ValueError("per-jump tilts must be finite and exp-representable")
-    return tilt_recycling(liouvillian(model), model, np.exp(-s_matrix))
-
-
 def free_energy(model: QswModel, s) -> float:
     """Dynamical free energy: largest real part of the spectrum of W_s.
 
@@ -156,16 +144,11 @@ def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
     profile and raises :class:`DegeneracyError`.
     """
     rates = model.rates
-    rate = rates @ np.abs(null_vector(rates - np.eye(model.n)))
-    total = rate.sum()
-    if total <= _ACTIVITY_FLOOR:
-        raise ZeroActivityError("active-limit jump profile has vanishing total rate")
-    return rate / total
+    return normalized_activity(rates @ np.abs(null_vector(rates - np.eye(model.n))))
 
 
 def _stencil(model: QswModel, s: np.ndarray, h: float):
-    """theta at s and at s +/- h along every coordinate axis."""
-    t0 = free_energy(model, s)
+    """theta at s +/- h along every coordinate axis."""
     n = model.n
     tp = np.empty(n)
     tm = np.empty(n)
@@ -174,7 +157,7 @@ def _stencil(model: QswModel, s: np.ndarray, h: float):
         e[i] = h
         tp[i] = free_energy(model, s + e)
         tm[i] = free_energy(model, s - e)
-    return t0, tp, tm
+    return tp, tm
 
 
 def activity(
@@ -263,10 +246,11 @@ def _observables(
     model: QswModel, s: np.ndarray, h: float, self_check: bool = False
 ) -> ThermoPoint:
     """All observables at one tilt from a shared derivative stencil."""
-    t0, tp, tm = _stencil(model, s, h)
+    t0 = free_energy(model, s)
+    tp, tm = _stencil(model, s, h)
     alpha = -(tp - tm) / (2.0 * h)
     if self_check:
-        _t0b, tp2, tm2 = _stencil(model, s, 0.5 * h)
+        tp2, tm2 = _stencil(model, s, 0.5 * h)
         alpha_half = -(tp2 - tm2) / h
         drift = np.abs(alpha - alpha_half).max()
         if drift > _SELF_CHECK_TOL:

@@ -5,9 +5,10 @@ is projected onto a node at each jump.  Waiting times are sampled
 exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
 by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
 Jumps into node i increment the count K_i.  Ensembles run blocks of up
-to ``_BLOCK`` trajectories as lanes of that engine, fewer on large graphs
-so that a block's jump weights (lanes x n^2 doubles) stay within
-``_LANE_WEIGHTS``; :func:`simulate` is the one-lane case.
+to ``_BLOCK`` trajectories (``_LANE_WEIGHTS // n^2`` on large graphs) as
+lanes of that engine, which forms jump weights in cache-sized sub-blocks;
+:func:`simulate` is the one-lane case.  One trajectory's n^2 weights
+must fit in ``_LANE_WEIGHTS``.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -15,6 +16,7 @@ its own, whatever the blocking or the number of worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +34,7 @@ DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 DEFAULT_N_TRAJ = 1000
 DEFAULT_SEED = 0
 _BLOCK = 1024  # lanes advanced together
-_LANE_WEIGHTS = 1024 * 64 * 64  # jump weights (lanes x n^2 doubles) per block
+_LANE_WEIGHTS = 1024 * 64 * 64  # lanes x n^2 per block; bounds one lane's n^2 weights
 _POOL_WEIGHTS = 20000  # jump weights (n_traj x n^2) per worker below which a fork does not pay
 
 
@@ -64,10 +66,15 @@ class EnsembleStats:
     dispersion_se: np.ndarray
 
 
-def _initial_state(model: QswModel, psi0, t_max: float, dt: float) -> np.ndarray:
-    """Validated unit start state; the uniform superposition by default."""
+def _initial_state(model: QswModel, psi0, t_max: float, dt: float, seeds: range) -> np.ndarray:
+    """Unit start state of a run of ``seeds`` (the uniform superposition by
+    default), once t_max, dt, the seed range and the model's size
+    (:func:`block_lanes`) have passed their checks."""
     if not (0 < t_max < math.inf and dt > 0):  # an infinite horizon never ends a lane
         raise ValueError("t_max must be positive and finite, dt positive")
+    if not 0 <= seeds[0] <= seeds[-1] < 1 << 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    block_lanes(model.n)
     if psi0 is None:
         return np.full(model.n, 1.0 / math.sqrt(model.n), dtype=complex)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -79,22 +86,18 @@ def _initial_state(model: QswModel, psi0, t_max: float, dt: float) -> np.ndarray
 
 
 def block_lanes(n: int) -> int:
-    """Lanes per block for an n-node model: at most ``_BLOCK``, and few
-    enough that their n^2 jump weights each stay within ``_LANE_WEIGHTS``.
+    """Lanes per block for an n-node model: at most ``_BLOCK`` and at
+    most ``_LANE_WEIGHTS // n^2``.
 
-    Raises :class:`SizeBudgetError` when one lane alone is over it.
+    Raises :class:`SizeBudgetError` when one trajectory's row of n^2 jump
+    weights is over ``_LANE_WEIGHTS``.
     """
     if n * n > _LANE_WEIGHTS:
         raise SizeBudgetError(
-            f"a {n}-node model needs {n * n} jump weights per trajectory; a block "
-            f"of the jump engine holds {_LANE_WEIGHTS} ({8 * _LANE_WEIGHTS / 2**20:g} MiB)"
+            f"a {n}-node model needs {n * n} jump weights per trajectory; the jump "
+            f"engine allows {_LANE_WEIGHTS} ({8 * _LANE_WEIGHTS / 2**20:g} MiB)"
         )
     return min(_BLOCK, _LANE_WEIGHTS // (n * n))
-
-
-def _check_seeds(first: int, last: int) -> None:
-    if not 0 <= first <= last < 1 << 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def simulate(
@@ -112,9 +115,7 @@ def simulate(
     to be positive.  A fixed seed reproduces the record bitwise, and the
     record equals that seed's lane in any ensemble.
     """
-    psi = _initial_state(model, psi0, t_max, dt)
-    _check_seeds(seed, seed)
-    block_lanes(model.n)
+    psi = _initial_state(model, psi0, t_max, dt, range(seed, seed + 1))
     counts, events = run_lanes(model, psi, t_max, [seed], record=True)
     return TrajectoryRecord(
         seed=seed, t_final=t_max, jump_events=tuple(events[0]), counts=counts[0]
@@ -153,10 +154,8 @@ def ensemble_stats(
     """
     if n_traj < 2:
         raise ValueError("ensemble statistics need n_traj >= 2")
-    _check_seeds(seed0, seed0 + n_traj - 1)
-    block_lanes(model.n)
-    psi = _initial_state(model, psi0, t_max, dt)
     seeds = range(seed0, seed0 + n_traj)
+    psi = _initial_state(model, psi0, t_max, dt, seeds)
     k = _pool_size(n_workers, min(n_traj, n_traj * model.n ** 2 // _POOL_WEIGHTS))
     chunks = [
         (model, psi, t_max, seeds[n_traj * i // k:n_traj * (i + 1) // k]) for i in range(k)
@@ -234,27 +233,20 @@ def free_energy_by_integration(
     y[diag] = 1.0 / n  # vec of the maximally mixed state
 
     n_full, rem = divmod(t_max, dt)
-    n_full = int(n_full)
+    steps = itertools.chain(  # full steps, then a shorter one that lands on t_max
+        ((p, k * dt) for k in range(1, int(n_full) + 1)),
+        [(rk4_step_matrix(w, rem), t_max)] if rem > 0 else [],
+    )
     times = [0.0]
     logz = [0.0]
-    log_acc = 0.0
-    for k in range(1, n_full + 1):
-        y = p @ y
-        tr = complex(y[diag].sum())
-        if not (math.isfinite(tr.real) and tr.real > 0):
-            raise DivergenceError(f"tilted trace became {tr!r} at t={k * dt:g}")
-        lz = log_acc + math.log(tr.real)
-        times.append(k * dt)
-        logz.append(lz)
-        y = y / tr.real
-        log_acc = lz
-    if rem > 0:
-        y = rk4_step_matrix(w, rem) @ y
-        tr = complex(y[diag].sum())
-        if not (math.isfinite(tr.real) and tr.real > 0):
-            raise DivergenceError("tilted trace became invalid at the endpoint")
-        times.append(t_max)
-        logz.append(log_acc + math.log(tr.real))
+    for step, t in steps:
+        y = step @ y
+        tr = complex(y[diag].sum()).real
+        if not (math.isfinite(tr) and tr > 0):
+            raise DivergenceError(f"tilted trace became {tr!r} at t={t:g}")
+        times.append(t)
+        logz.append(logz[-1] + math.log(tr))
+        y = y / tr
 
     t_arr = np.asarray(times)
     z_arr = np.asarray(logz)

@@ -553,6 +553,26 @@ def test_fd_scan_of_several_closed_classes_prints_error_cells(tmp_path, capsys):
         q.free_energy(model, np.zeros(4))
 
 
+def test_classical_scan_reports_no_crossover(capsys):
+    # at coherent weight 0, T = G for every tilt and delta is constant:
+    # the grid's largest delta_global is finite-difference noise
+    six = str(Path(q.__file__).parent / "data" / "six_node.edges")
+    assert main(["scan", "--input", six, "--coherent-weight", "0"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("delta_global is flat to 0.001 over the scan (max 5.08")
+    assert err.endswith("; no interior maximum)\n")
+
+
+@pytest.mark.parametrize("weight, s_peak", [("0.25", "1.2"), ("1", "-0.2"), ("4", "-1.6")])
+def test_quantum_scan_reports_its_crossover(weight, s_peak, capsys):
+    # delta(gamma, s) = delta(1, s + ln gamma): the peak moves by ln 4 per step
+    six = str(Path(q.__file__).parent / "data" / "six_node.edges")
+    assert main(["scan", "--input", six, "--coherent-weight", weight]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"delta_global peaks at s={s_peak} (value 6.50")
+    assert err.endswith(", interior maximum)\n")
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--input", "x"])

@@ -128,6 +128,30 @@ def test_eig_real_input_matches_complex_input(rng, monkeypatch):
     assert q.eig_general(np.diag([1, 3, 2])).leading_eigenvalue == 3.0  # ints go real
 
 
+def test_eig_inverse_iteration_is_real_for_a_real_leading_pair(six_node_model, monkeypatch):
+    solved = []
+    real_solve = np.linalg.solve
+
+    def spy(a, b):
+        solved.append(a.dtype)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    # 0.5 -+ 2j from the rotation block, and the leading eigenvalue 1, real
+    m = np.array([[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    res = q.eig_general(m)
+    assert solved == [np.dtype(float)]
+    assert res.leading_eigenvalue == 1.0
+    assert_allclose(abs(res.leading_right_eigenvector[2]), 1.0, atol=1e-12)
+    # the leading theta of a tilted generator, whose spectrum is complex
+    q.free_energy(six_node_model, np.linspace(-1.0, 1.0, 6))
+    assert solved[-1] == np.dtype(float)
+    # a complex leading eigenvalue, or complex input, keeps the complex solve
+    q.eig_general(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    q.eig_general(m.astype(complex))
+    assert solved[-2:] == [np.dtype(complex), np.dtype(complex)]
+
+
 def test_eig_vector_on_awkward_exact_spectra():
     cases = [
         # left eigenvector (1, -2) of lambda = 1 is orthogonal to (1, 1/2)

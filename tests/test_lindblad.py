@@ -173,7 +173,7 @@ def test_array_generators_equal_the_jump_list_assembly(two_node_graph, six_node_
         assert np.array_equal(model.hermitian_generator, to_hermitian_basis(reference))
         assert np.array_equal(q.tilted_superoperator(model, s), jump_list_tilted(model, s))
         assert np.array_equal(
-            q.tilted_superoperator_per_jump(model, s_matrix),
+            tilt_recycling(q.liouvillian(model), model, np.exp(-s_matrix)),
             jump_list_tilted_per_jump(model, s_matrix),
         )
         dest = np.array([i for i, _j, _amp in model.jumps])

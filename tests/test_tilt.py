@@ -21,6 +21,7 @@ from oracles import (
     classical_tilted_matrix,
     dense_active_limit_profile,
     generic_tilted,
+    jump_list_tilted_per_jump,
     leading_eigenvalue_scipy,
     limit_generator,
     random_digraph,
@@ -79,7 +80,7 @@ def test_per_jump_tilt_generalizes_per_node(two_node_model):
     s = np.array([0.3, -0.2])
     s_matrix = np.tile(s[:, None], (1, 2))  # destination-dependent only
     assert_allclose(
-        q.tilted_superoperator_per_jump(two_node_model, s_matrix),
+        jump_list_tilted_per_jump(two_node_model, s_matrix),
         q.tilted_superoperator(two_node_model, s),
         atol=1e-14,
     )
@@ -93,9 +94,7 @@ def test_per_jump_tilt_generic_oracle(two_node_model):
         op = np.zeros((2, 2), dtype=complex)
         op[i, j] = amp
         expected += (np.exp(-s_matrix[i, j]) - 1.0) * np.kron(op.conj(), op)
-    assert_allclose(
-        q.tilted_superoperator_per_jump(two_node_model, s_matrix), expected, atol=1e-12
-    )
+    assert_allclose(jump_list_tilted_per_jump(two_node_model, s_matrix), expected, atol=1e-12)
 
 
 # -- limit generators ---------------------------------------------------------
@@ -447,6 +446,25 @@ def test_free_energy_makes_one_real_eigensolve(six_node_model, monkeypatch):
     monkeypatch.setattr("qswalk.tilt.eig_general", spy)
     q.free_energy(six_node_model, np.linspace(-1.0, 1.0, 6))
     assert calls == [np.dtype(float)]
+
+
+def test_eigensolves_per_point_and_per_self_checked_activity(six_node_model, monkeypatch):
+    # theta at the centre and at +/- h on each of the n axes; the
+    # step-halving check adds the 2n points at h/2, not a second centre
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return q.eig_general(m)
+
+    monkeypatch.setattr("qswalk.tilt.eig_general", spy)
+    n = six_node_model.n
+    (point,) = q.scan(six_node_model, [q.uniform_tilt(six_node_model, 0.3)])
+    assert point.error is None
+    assert len(calls) == 2 * n + 1
+    calls.clear()
+    q.activity(six_node_model, np.linspace(-0.5, 0.5, n))
+    assert len(calls) == 4 * n + 1
 
 
 def test_activity_is_the_observables_alpha(six_node_model):
