@@ -53,6 +53,7 @@ from .tilt import (
     normalized_activity,
     scan,
     stationary_dispersion,
+    stationary_references,
     tilted_superoperator,
     uniform_tilt,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "scan",
     "simulate",
     "stationary_dispersion",
+    "stationary_references",
     "steady_state",
     "symmetrized_adjacency",
     "tilted_superoperator",

@@ -5,14 +5,13 @@ dynamical activity vs. steady-state populations), ``scan`` (uniform-tilt
 thermodynamic scan), ``simulate`` (jump Monte Carlo ensemble).  All
 outputs are CSV with a header row; ``--output -`` (the default) writes
 to stdout.  Exit codes: 0 success, 2 usage/input error, 3 numerical
-failure or a model too large: for the dense generator, which only
-``scan`` grids build, or for one trajectory of the jump engine.  The
-reference columns of ``simulate`` are exact n x n values, the stationary
-jump rates and :func:`~qswalk.tilt.stationary_dispersion`.  The
+failure or a model too large for the dense generator (only ``scan``
+grids build it).  The reference columns of ``simulate`` are exact n x n
+values (:func:`~qswalk.tilt.stationary_references`).  The
 environment variable ``QSWALK_WORKERS`` bounds the process count of
 scans and ensembles (default: serial): a scan uses at most one process
 per point, an ensemble at most one per trajectory and per
-``trajectory._POOL_WEIGHTS`` jump weights (n_traj x n^2).
+``trajectory._POOL_WEIGHTS`` of n_traj x n^2.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .tilt import (
     active_limit_normalized_activity,
     dispersion,  # unused here; perfbench still patches qswalk.cli.dispersion
     scan,
-    stationary_dispersion,
+    stationary_references,
     ThermoPoint,
     uniform_tilt,
 )
@@ -47,7 +46,6 @@ from .trajectory import (
     DEFAULT_N_TRAJ,
     DEFAULT_SEED,
     DEFAULT_T_MAX,
-    block_lanes,
     ensemble_stats,
     simulate,
 )
@@ -235,9 +233,8 @@ def _report_crossover(points) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     model = build_qsw(g, cfg.damping, cfg.coherent_weight)
-    block_lanes(model.n)  # refuses a model too large for the engine, before any work
     act0 = model.rates @ np.real(np.diag(steady_state(model)))  # as in ranks
-    disp0 = stationary_dispersion(model, act0)
+    disp0, offset = stationary_references(model, act0)  # from the uniform start state
     if cfg.n_traj == 1:  # no variance columns
         rec = simulate(model, None, cfg.t_max, cfg.dt, cfg.seed)
         columns = (rec.counts / cfg.t_max, None, None, None, None)
@@ -259,7 +256,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
             stats.dispersion_se,
         )
     with _open_output(cfg.output) as fp:
-        qio.write_ensemble_csv(fp, *columns, activity0=act0, dispersion0=disp0)
+        qio.write_ensemble_csv(fp, *columns, activity0=act0, dispersion0=disp0,
+                               activity_t=act0 + offset / cfg.t_max)
     if cfg.n_traj == 1 and cfg.output != "-":
         with open(cfg.output + ".events.csv", "w", encoding="utf-8", newline="") as fp:
             qio.write_events_csv(fp, rec)

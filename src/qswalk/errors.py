@@ -43,6 +43,5 @@ class ZeroActivityError(QswError):
 
 class SizeBudgetError(QswError):
     """The model has more nodes than dense n^2 x n^2 superoperators are
-    built for (``lindblad.DENSE_NODE_LIMIT``), or than the jump engine has
-    room for in one trajectory's n^2 jump weights (``trajectory.block_lanes``);
-    raised before anything of that size is allocated."""
+    built for (``lindblad.DENSE_NODE_LIMIT``); raised before anything of
+    that size is allocated."""

@@ -90,12 +90,13 @@ def write_ensemble_csv(
     dispersion_se: Optional[np.ndarray],
     activity0: np.ndarray,
     dispersion0: Sequence,
+    activity_t: np.ndarray,
 ) -> None:
     """Per-node ensemble statistics with oracle comparison columns.
 
-    Variance-derived columns may be None (single-trajectory runs) and
-    are then left empty, as are z-scores without a defined reference
-    (a None entry of ``dispersion0``) or error bar.
+    z_activity is taken against ``activity_t``, the last column.
+    Variance-derived columns may be None (single-trajectory runs) and are
+    left empty, as are z-scores without a reference or error bar.
     """
     n = len(mean_rate)
     writer = csv.writer(fp, lineterminator="\n")
@@ -111,14 +112,14 @@ def write_ensemble_csv(
             "z_activity",
             "dispersion0",
             "z_dispersion",
+            "activity_t",
         ]
     )
     for i in range(n):
         se = standard_errors[i] if standard_errors is not None else None
-        act = activity0[i]
         z_act = None
         if se is not None and se > 0:
-            z_act = (mean_rate[i] - act) / se
+            z_act = (mean_rate[i] - activity_t[i]) / se
         disp = dispersion_hat[i] if dispersion_hat is not None else None
         dse = dispersion_se[i] if dispersion_se is not None else None
         d0 = dispersion0[i]
@@ -133,10 +134,11 @@ def write_ensemble_csv(
                 fmt(var_rate[i] if var_rate is not None else None),
                 fmt(disp),
                 fmt(dse),
-                fmt(act),
+                fmt(activity0[i]),
                 fmt(z_act),
                 fmt(d0),
                 fmt(z_disp),
+                fmt(activity_t[i]),
             ]
         )
 

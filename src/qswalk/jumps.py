@@ -7,8 +7,10 @@ psi(tau) = exp(-tau/2) exp(-iH tau) psi: the squared norm is exactly
 exp(-tau).  The waiting time for a uniform threshold r (norm-decay
 waiting-time method) is therefore exactly tau = -ln r, with no time
 step.  A second uniform u picks the jump src -> dst with probability
-proportional to G[dst, src] |psi_src(tau)|^2, and the state becomes |dst>
-(its phase is global and never observed).
+proportional to G[dst, src] |psi_src(tau)|^2: src first, with weight
+|psi_src(tau)|^2 times column src's sum of rates, then dst from that
+column's cumulative rates.  The state becomes |dst> (its phase is global
+and never observed).
 
 With H = V diag(lam) V^T (the model's cached ``eigenbasis``: one
 ``eigh`` per model and process) a lane holds the coefficients
@@ -17,14 +19,14 @@ c is row dst of V.
 
 A block of trajectories ("lanes") advances in lock-step rounds of one
 jump each, and every per-lane step is an array operation across the
-lanes.  States are (n, lanes) arrays; jump weights are lane-major,
-(lanes, n^2), so that each lane's prefix sum runs along the contiguous
-axis, in sub-blocks of lanes that stay in cache.  Each chunk of 32
-rounds of draws gives the chunk's jump times up front: lanes that have
-left (their next jump would come at or after the horizon) are dropped,
-and the rest are put in order of falling jump count, so that each round
-steps a prefix of the columns.  A lane's result does not depend on the
-block size or on its position in the block:
+lanes.  States and source weights are (n, lanes) arrays, so that a
+prefix sum over the sources is a sequence of row additions across the
+lanes.  Each chunk of 32 rounds of draws gives the chunk's jump times up
+front: lanes that have left (their next jump would come at or after the
+horizon) are dropped, and the rest are put in order of falling jump
+count, so that each round steps a prefix of the columns.  A lane's
+result does not depend on the block size or on its position in the
+block:
 
 * States are held as real vectors (Re, Im), and every product is a
   sequence of elementwise float64 operations in a fixed order, never a
@@ -46,7 +48,6 @@ from .lindblad import QswModel
 
 _ROUNDS = 32  # jumps per chunk of draws
 _DRAWS = 2 * _ROUNDS  # uniforms per lane and chunk: r, then u, per jump
-_CACHE_WEIGHTS = 1 << 16  # jump weights per sub-block of lanes (512 KiB)
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): the two multipliers,
 # each with its 32-bit halves, and the Weyl increments of the key
@@ -90,30 +91,39 @@ def uniforms(keys: np.ndarray, chunk: int) -> np.ndarray:
     return (words.reshape(len(keys), _DRAWS) >> _11) * 2.0**-53
 
 
-def choose_jump(rates: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Pick each lane's jump from source weights ``q`` (lanes, n), the
-    squared amplitudes at the jump, with uniforms ``u``.
+def jump_table(rates: np.ndarray, lanes: int) -> tuple:
+    """The column sums c of ``rates`` (G[dst, src]) as a column, each
+    column's cumulative rates over c (they end at exactly 1.0), its last
+    destination with a nonzero rate, and ``lanes`` lane indices."""
+    cum = np.add.accumulate(rates, axis=0)
+    last = len(rates) - 1 - (rates[::-1] > 0).argmax(axis=0)
+    return cum[-1:].T.copy(), cum / cum[-1], last, np.arange(lanes)
 
-    ``rates`` is ``model.rates.ravel()``.  Lane l sums w[l, i*n + j] =
-    q[l, j] rates[i*n + j] (jump j -> i) in that order and takes the first
-    bin whose prefix sum exceeds u times the total, else the last bin, or
-    the heaviest if the last is empty.  Lanes go in sub-blocks whose
-    weights stay in cache.  Returns the bins.
-    """
-    lanes, n = q.shape
-    step = max(1, _CACHE_WEIGHTS // (n * n))
-    src = np.arange(n * n) % n
-    idx = np.empty(lanes, dtype=np.intp)
-    for k in range(0, lanes, step):
-        w = q[k:k + step, src]
-        w *= rates
-        csum = np.add.accumulate(w, axis=1)
-        above = csum > (u[k:k + step] * csum[:, -1])[:, None]
-        idx[k:k + step] = above.argmax(axis=1)  # weights are >= 0: sums never fall
-        if not above[:, -1].all():
-            full = np.flatnonzero(~above[:, -1])
-            idx[k + full] = np.where(w[full, -1] > 0, n * n - 1, w[full].argmax(axis=1))
-    return idx
+
+def choose_jump(table: tuple, q: np.ndarray, u: np.ndarray):
+    """(dst, src) of each lane's jump, from the squared amplitudes ``q``
+    (n, lanes) at the jump, uniforms ``u`` and :func:`jump_table`.
+
+    Lane l sums w[j, l] = c[j] q[j, l] in order of j.  With t = u times the
+    total, src is the first j whose prefix sum exceeds t (else the last
+    with w > 0); with v = (t - the sum before src) / w[src], dst is the
+    first whose entry of column src's cumulative rates over c exceeds v
+    (else the column's last nonzero rate)."""
+    c, cdf, last, lanes = table
+    n, m = q.shape
+    w = q * c
+    csum = np.zeros((n + 1, m))  # csum[j]: the sum of w before source j
+    np.add.accumulate(w, axis=0, out=csum[1:])  # row by row, across the lanes
+    t = u * csum[-1]
+    src = (csum[1:] <= t).sum(axis=0)  # weights are >= 0: sums never fall
+    if src.max() == n:  # t at or above the total
+        out = np.flatnonzero(src == n)
+        src[out] = n - 1 - (w[::-1, out] > 0).argmax(axis=0)
+    at = src * m + lanes[:m]
+    v = (t - csum.ravel()[at]) / w.ravel()[at]
+    # the entries <= v are a prefix, and the first entry past it has a
+    # nonzero rate; every entry is <= v only when v >= 1, as they end at 1.0
+    return np.minimum((np.take(cdf, src, axis=1) <= v).sum(axis=0), last[src]), src
 
 
 def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=False):
@@ -134,7 +144,7 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
     ids = np.arange(n_lanes)  # the lane in each column
     keys = np.fromiter(seeds, dtype=np.uint64, count=n_lanes)
     t_abs = np.zeros(n_lanes)
-    rates = model.rates.ravel()
+    table = jump_table(model.rates, n_lanes)
     counts = np.zeros(n_lanes * n, dtype=np.int64)  # counts[lane * n + destination]
     events = [[] for _ in seeds] if record else None
     chunk = 0
@@ -152,7 +162,7 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
         ids, keys, tau, u, times, jumps = (
             a[order] for a in (ids, keys, tau, draws[:, 1::2], times, jumps))
         re = re[:, order]
-        bins = np.zeros((_ROUNDS, len(ids)), dtype=np.intp)
+        dst, src = np.zeros((2, _ROUNDS, len(ids)), dtype=np.intp)
         live = (jumps > np.arange(_ROUNDS)[:, None]).sum(axis=1)  # lanes in each round
         for r, m in enumerate(live[live > 0].tolist()):
             phase = lam[:, None] * tau[:m, r]
@@ -170,9 +180,8 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
             for a in range(1, n):
                 y += np.multiply(cols[a], x[:, a:a + 1], out=tmp)
             y *= y
-            bins[r, :m] = choose_jump(rates, (y[0] + y[1]).T, u[:m, r])
-            re = vt[:, np.divmod(bins[r, :m], n)[0]]
-        dst, src = np.divmod(bins, n)
+            dst[r, :m], src[r, :m] = choose_jump(table, y[0] + y[1], u[:m, r])
+            re = vt[:, dst[r, :m]]
         counts += np.bincount((ids * n + dst)[np.arange(_ROUNDS)[:, None] < jumps],
                               minlength=len(counts))
         if record:
@@ -180,5 +189,5 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
                 events[lane] += zip(times[k, :j].tolist(), dst[:j, k].tolist(), src[:j, k].tolist())
         keep = live[-1]  # lanes that jumped in every round: all at one place in their streams
         ids, keys, t_abs, re = ids[:keep], keys[:keep], times[:keep, -1].copy(), re[:, :keep]
-        del draws, tau, u, times, bins, dst, src  # free the chunk before the next draws
+        del draws, tau, u, times, dst, src  # free the chunk before the next draws
     return counts.reshape(n_lanes, n), events

@@ -25,9 +25,9 @@ rescaled by exp(s) as s -> -infinity the generator is the bare recycling
 map, with theta = 1 and the Perron vector of the jump-rate matrix G as
 its jump profile (:func:`active_limit_normalized_activity`, n x n).
 The activity at s = 0 also has a derivative-free form, the stationary
-jump rates (:func:`activity_from_steady_state`), and so has the index of
-dispersion (:func:`stationary_dispersion`, n x n); the finite-difference
-path stays as the independent route.
+jump rates (:func:`activity_from_steady_state`), and so have the index of
+dispersion and the start-up offset of the counts (:func:`stationary_references`,
+n x n); the finite-difference path stays as the independent route.
 """
 
 from __future__ import annotations
@@ -185,34 +185,42 @@ def activity_from_steady_state(model: QswModel) -> np.ndarray:
     return model.rates @ np.real(np.diag(rho))
 
 
-def stationary_dispersion(model: QswModel, alpha) -> tuple:
-    """Exact per-node index of dispersion at s = 0, from n x n problems.
+def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
+    """Exact s = 0 references from n x n problems: the index of dispersion
+    delta and the start-up offset b of the counts from the unit state
+    ``psi0`` (default: uniform), E[K(t)] = alpha t + b + O(exp(-gap t)).
 
-    ``alpha`` is the stationary jump rate vector
-    (:func:`activity_from_steady_state`), the Perron vector pi of the
-    column-stochastic T = G M(1) (``QswModel.renewal``).  Second-order
-    Perron perturbation of the renewal root gives
-
-        delta_i = 1 + 2 pi_i + 2 (T S)_ii + 2 [(I + T S) G M'(1) pi]_i,
-
-    with the group inverse S = (I - T + pi 1^T)^{-1} - pi 1^T of T (Meyer,
-    SIAM Rev. 17, 443 (1975)) and M'(1) the spreading kernel with weights
-    ((lam_a - lam_b)^2 - 1) / (1 + (lam_a - lam_b)^2)^2.  Entries where
-    the activity is below 1e-12 are None, as in :func:`dispersion`.
+    ``alpha`` is the stationary jump rate vector, the Perron vector pi of
+    T = G M(1) (``QswModel.renewal``).  With the group inverse
+    Z = (I - T + pi 1^T)^{-1} - pi 1^T of T (Meyer, SIAM Rev. 17, 443
+    (1975)) and y = G M'(1) pi, M'(1) the spreading kernel with weights
+    ((lam_a - lam_b)^2 - 1) / (1 + (lam_a - lam_b)^2)^2, the renewal
+    expansion gives delta_i = 1 + 2 pi_i + 2 (T Z)_ii + 2 [(I + T Z) y]_i
+    and b = Z (G m0 + y), where G m0 is the law of the first jump:
+    m0_j = Re sum_ab V_ja c_a V_jb conj(c_b) / (1 + i (lam_a - lam_b)) for
+    c = V^T psi0.  Entries of delta where the activity is below 1e-12 are
+    None, as in :func:`dispersion`.  Returns ``(delta, b)``.
     """
     pi = np.asarray(alpha, dtype=float)
     n = model.n
     g = model.rates
     lam, v = model.eigenbasis
-    om2 = np.subtract.outer(lam, lam) ** 2
+    om = np.subtract.outer(lam, lam)
     t = model.renewal
     p = np.outer(pi, np.ones(n))
-    ts = t @ (np.linalg.inv(np.eye(n) - t + p) - p)
-    y = g @ (_spreading_kernel(v, (om2 - 1.0) / (1.0 + om2) ** 2) @ pi)
+    z = np.linalg.inv(np.eye(n) - t + p) - p
+    ts = t @ z
+    y = g @ (_spreading_kernel(v, (om ** 2 - 1.0) / (1.0 + om ** 2) ** 2) @ pi)
     delta = 1.0 + 2.0 * pi + 2.0 * ts.diagonal() + 2.0 * (y + ts @ y)
-    return tuple(
-        float(d) if abs(a) > _ACTIVITY_FLOOR else None for d, a in zip(delta, pi)
-    )
+    c = v.T @ (np.full(n, n ** -0.5) if psi0 is None else np.asarray(psi0, dtype=complex))
+    m0 = ((v @ (np.outer(c, c.conj()) / (1.0 + 1j * om))) * v).sum(axis=1).real
+    delta = tuple(float(d) if abs(a) > _ACTIVITY_FLOOR else None for d, a in zip(delta, pi))
+    return delta, z @ (g @ m0 + y)
+
+
+def stationary_dispersion(model: QswModel, alpha) -> tuple:
+    """Exact per-node index of dispersion at s = 0 (see :func:`stationary_references`)."""
+    return stationary_references(model, alpha)[0]
 
 
 def dispersion(model: QswModel, s, h: float = DEFAULT_FD_STEP):

@@ -4,11 +4,9 @@ A trajectory is a pure state that evolves coherently between jumps and
 is projected onto a node at each jump.  Waiting times are sampled
 exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
 by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
-Jumps into node i increment the count K_i.  Ensembles run blocks of up
-to ``_BLOCK`` trajectories (``_LANE_WEIGHTS // n^2`` on large graphs) as
-lanes of that engine, which forms jump weights in cache-sized sub-blocks;
-:func:`simulate` is the one-lane case.  One trajectory's n^2 weights
-must fit in ``_LANE_WEIGHTS``.
+Jumps into node i increment the count K_i.  Ensembles run blocks of
+``_BLOCK`` trajectories (``_LANE_NODES // n`` above 64 nodes) as lanes of
+that engine; :func:`simulate` is the one-lane case.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -23,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, SizeBudgetError
+from .errors import DivergenceError
 from .jumps import run_lanes
 from .lindblad import QswModel
 from .linalg import eig_general, rk4_step_matrix
@@ -34,8 +32,8 @@ DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 DEFAULT_N_TRAJ = 1000
 DEFAULT_SEED = 0
 _BLOCK = 1024  # lanes advanced together
-_LANE_WEIGHTS = 1024 * 64 * 64  # lanes x n^2 per block; bounds one lane's n^2 weights
-_POOL_WEIGHTS = 20000  # jump weights (n_traj x n^2) per worker below which a fork does not pay
+_LANE_NODES = 1 << 16  # lanes x n per block at most, so that a block's states stay in cache
+_POOL_WEIGHTS = 20000  # n_traj x n^2 (a jump steps n^2 products) per worker below which a fork does not pay
 
 
 @dataclass(frozen=True)
@@ -68,13 +66,11 @@ class EnsembleStats:
 
 def _initial_state(model: QswModel, psi0, t_max: float, dt: float, seeds: range) -> np.ndarray:
     """Unit start state of a run of ``seeds`` (the uniform superposition by
-    default), once t_max, dt, the seed range and the model's size
-    (:func:`block_lanes`) have passed their checks."""
+    default), once t_max, dt and the seed range have passed their checks."""
     if not (0 < t_max < math.inf and dt > 0):  # an infinite horizon never ends a lane
         raise ValueError("t_max must be positive and finite, dt positive")
     if not 0 <= seeds[0] <= seeds[-1] < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    block_lanes(model.n)
     if psi0 is None:
         return np.full(model.n, 1.0 / math.sqrt(model.n), dtype=complex)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -83,21 +79,6 @@ def _initial_state(model: QswModel, psi0, t_max: float, dt: float, seeds: range)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     return psi
-
-
-def block_lanes(n: int) -> int:
-    """Lanes per block for an n-node model: at most ``_BLOCK`` and at
-    most ``_LANE_WEIGHTS // n^2``.
-
-    Raises :class:`SizeBudgetError` when one trajectory's row of n^2 jump
-    weights is over ``_LANE_WEIGHTS``.
-    """
-    if n * n > _LANE_WEIGHTS:
-        raise SizeBudgetError(
-            f"a {n}-node model needs {n * n} jump weights per trajectory; the jump "
-            f"engine allows {_LANE_WEIGHTS} ({8 * _LANE_WEIGHTS / 2**20:g} MiB)"
-        )
-    return min(_BLOCK, _LANE_WEIGHTS // (n * n))
 
 
 def simulate(
@@ -125,7 +106,7 @@ def simulate(
 def _counts_block(args) -> np.ndarray:
     """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
     model, psi0, t_max, seeds = args
-    block = block_lanes(model.n)
+    block = min(_BLOCK, max(1, _LANE_NODES // model.n))
     return np.concatenate([
         run_lanes(model, psi0, t_max, seeds[k:k + block])[0]
         for k in range(0, len(seeds), block)
@@ -146,9 +127,9 @@ def ensemble_stats(
     Trajectory idx uses the stream keyed by seed0 + idx, so the ensemble
     is reproducible and insensitive to how work is distributed.  With
     ``n_workers`` > 1 the seed range is split across at most that many
-    processes and at most one per trajectory and per ``_POOL_WEIGHTS``
-    jump weights (n_traj x n^2), so that an ensemble too small to pay for
-    a fork runs in this process.
+    processes and at most one per trajectory and per ``_POOL_WEIGHTS`` of
+    n_traj x n^2 (a jump's state step costs n^2), so that an ensemble too
+    small to pay for a fork runs in this process.
     ``dt`` is checked to be positive and otherwise ignored, as in
     :func:`simulate`.
     """

@@ -297,8 +297,32 @@ def random_digraph(rng, n_max=8, ensure_edge=True):
 
 def _choose_jump(rates, psi_at, u):
     """(dst, src) of the jump picked by ``u`` at state ``psi_at``, with the
-    engine's rule: searchsorted on the cumulative weights, and the largest
-    weight when the threshold lands on an empty bin."""
+    engine's source-first rule: the source by searchsorted on the
+    cumulative weights |psi_j|^2 c_j (c the column sums of ``rates``), the
+    destination by searchsorted of the remainder, as a fraction of the
+    source's weight, on the source's normalized cumulative rates; the
+    last source or destination with weight when the search runs off the
+    end."""
+    n = len(psi_at)
+    cum = np.cumsum(rates, axis=0)
+    w = np.abs(psi_at) ** 2 * cum[-1]
+    csum = np.cumsum(w)
+    t = u * csum[-1]
+    src = int(np.searchsorted(csum, t, side="right"))
+    if src == n:
+        src = int(np.flatnonzero(w > 0)[-1])
+    v = (t - (csum[src - 1] if src > 0 else 0.0)) / w[src]
+    dst = int(np.searchsorted(cum[:, src] / cum[-1, src], v, side="right"))
+    if dst == n:
+        dst = int(np.flatnonzero(rates[:, src] > 0)[-1])
+    return dst, src
+
+
+def choose_jump_dst_major(rates, psi_at, u):
+    """(dst, src) by the engine's former destination-major rule, the
+    reference for the law of the source-first rule: searchsorted on the
+    cumulative weights G[dst, src] |psi_src|^2 in row-major order, and the
+    largest weight when the threshold lands on an empty bin."""
     n = len(psi_at)
     w = (rates * np.abs(psi_at) ** 2).ravel()
     csum = np.cumsum(w)
@@ -423,3 +447,18 @@ def scalar_trajectory(model, t_max, dt, seed):
         events.append((t_abs, dst, src))
         psi = np.zeros(n, dtype=complex)
         psi[dst] = psi_at[src] / abs(psi_at[src])
+
+
+def dense_mean_counts(model, psi0, t):
+    """E[K(t)] from psi0 as a dense integral: the jump rates G diag(rho(u))
+    integrated over [0, t] by scipy's expm of the Lindblad generator
+    augmented with that integral, [[L, 0], [P, 0]], where P vec(rho) =
+    G diag(rho)."""
+    n = model.n
+    dim = n * n
+    aug = np.zeros((dim + n, dim + n), dtype=complex)
+    aug[:dim, :dim] = generic_liouvillian(model)
+    aug[dim:, np.arange(n) * (n + 1)] = model.rates
+    x0 = np.zeros(dim + n, dtype=complex)
+    x0[:dim] = q.vec(np.outer(psi0, np.conj(psi0)))
+    return (scipy.linalg.expm(aug * t) @ x0)[dim:].real

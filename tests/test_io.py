@@ -104,13 +104,17 @@ def test_ensemble_csv_with_references():
         dispersion_se=np.array([0.2, 0.3]),
         activity0=np.array([0.4, 1.4]),
         dispersion0=[1.0, None],
+        activity_t=np.array([0.3, 1.4]),
     )
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     head = rows[0]
     assert head[:3] == ["node", "mean_rate", "std_error"]
+    assert head[-1] == "activity_t"  # appended: earlier columns keep their index
     r0 = dict(zip(head, rows[1]))
     r1 = dict(zip(head, rows[2]))
-    assert float(r0["z_activity"]) == pytest.approx(1.0)  # (0.5-0.4)/0.1
+    assert r0["activity0"] == "0.40000000000000002"
+    assert r0["activity_t"] == "0.29999999999999999"
+    assert float(r0["z_activity"]) == pytest.approx(2.0)  # (0.5-0.3)/0.1, against activity_t
     assert float(r0["z_dispersion"]) == pytest.approx(0.5)  # (1.1-1.0)/0.2
     assert r1["z_activity"] == ""  # zero standard error: no z-score
     assert r1["z_dispersion"] == ""  # no reference dispersion
@@ -127,6 +131,7 @@ def test_ensemble_csv_single_trajectory_columns():
         dispersion_se=None,
         activity0=np.array([0.4]),
         dispersion0=[1.0],
+        activity_t=np.array([0.45]),
     )
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     row = dict(zip(rows[0], rows[1]))

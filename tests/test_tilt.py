@@ -20,6 +20,8 @@ from qswalk.lindblad import tilt_recycling
 from oracles import (
     classical_tilted_matrix,
     dense_active_limit_profile,
+    dense_mean_counts,
+    dense_steady_state,
     generic_tilted,
     jump_list_tilted_per_jump,
     leading_eigenvalue_scipy,
@@ -316,6 +318,29 @@ def test_stationary_dispersion_matches_fd_and_skips_nodes_no_jump_reaches(single
         with np.errstate(invalid="ignore"):
             _, fd = richardson_activity_dispersion(model)
         assert_allclose(delta[:-1], fd[:-1], rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("name", ["two_node", "six_node"])
+def test_start_offset_matches_dense_integral(name):
+    # E[K(t)] = alpha t + b up to exp(-gap t); at t = 200 the rest is far
+    # below rounding, so the dense integral of the jump rates minus alpha t
+    # is b, from the uniform and from a complex start state
+    from qswalk.data import load_bundled
+
+    model = q.build_qsw(load_bundled(name))
+    n = model.n
+    alpha = q.activity_from_steady_state(model)
+    dense_alpha = model.rates @ np.real(np.diag(dense_steady_state(model)))
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for psi0 in (None, psi / np.linalg.norm(psi)):
+        delta, b = q.stationary_references(model, alpha, psi0)
+        assert delta == q.stationary_dispersion(model, alpha)
+        start = np.full(n, n ** -0.5) if psi0 is None else psi0
+        dense = dense_mean_counts(model, start, 200.0) - 200.0 * dense_alpha
+        assert_allclose(b, dense, rtol=0, atol=1e-10)
+        assert abs(b.sum()) < 1e-14  # every jump is counted at some node
+        assert np.abs(b).max() > 1e-3  # a start state is not the steady state
 
 
 def test_dispersion_six_node_regression():

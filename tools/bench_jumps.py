@@ -11,7 +11,10 @@ the ordered node pairs), with damping 0.85 and coherent weight 1:
 
 * n = 2 and n = 6: 200 lanes at t = 200 (the Monte Carlo workloads' size);
 * n = 64: 1024 lanes at t = 20;
-* n = 256: 64 lanes at t = 20 (the block that ``_LANE_WEIGHTS`` allows).
+* n = 256: 64 lanes at t = 20; and 1024 lanes at t = 5, run as one block
+  and in the blocks of 256 lanes that ``trajectory._LANE_NODES`` (lanes
+  x n) gives an ensemble;
+* n = 1024: 16 lanes at t = 2.
 
 Lane k runs seed 1000 + k.  Each case runs once untimed (the model's
 eigenbasis and numpy's first calls), then ``--repeat`` timed runs; the
@@ -43,7 +46,10 @@ import numpy as np  # noqa: E402
 import qswalk as q  # noqa: E402
 from qswalk.jumps import run_lanes  # noqa: E402
 
-CASES = ((2, 200, 200.0), (6, 200, 200.0), (64, 1024, 20.0), (256, 64, 20.0))
+CASES = (  # (n, lanes, t_max, lanes per run_lanes call)
+    (2, 200, 200.0, 200), (6, 200, 200.0, 200), (64, 1024, 20.0, 1024), (256, 64, 20.0, 64),
+    (256, 1024, 5.0, 1024), (256, 1024, 5.0, 256), (1024, 16, 2.0, 16),
+)
 GRAPH_SEED = 1
 FIRST_SEED = 1000
 
@@ -55,22 +61,28 @@ def graph_text(n: int, seed: int = GRAPH_SEED) -> str:
     return f"n {n}\n" + "".join(f"{a} {b}\n" for a, b in edges)
 
 
-def time_case(n: int, lanes: int, t_max: float, repeat: int) -> dict:
+def time_case(n: int, lanes: int, t_max: float, block: int, repeat: int) -> dict:
     model = q.build_qsw(q.parse_edge_list(graph_text(n)), 0.85, 1.0)
     psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     seeds = range(FIRST_SEED, FIRST_SEED + lanes)
-    jumps = int(run_lanes(model, psi0, t_max, seeds)[0].sum())
+
+    def run() -> int:
+        return sum(int(run_lanes(model, psi0, t_max, seeds[k:k + block])[0].sum())
+                   for k in range(0, lanes, block))
+
+    jumps = run()
     runs = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        counts = run_lanes(model, psi0, t_max, seeds)[0]
+        count = run()
         runs.append((time.perf_counter() - t0) * 1e6 / jumps)
-        if int(counts.sum()) != jumps:
+        if count != jumps:
             raise RuntimeError(f"n={n}: the jump count changed between runs")
     return {
         "n": n,
         "edges": min(3 * n, n * (n - 1)),
         "lanes": lanes,
+        "block": block,
         "t_max": t_max,
         "jumps": jumps,
         "us_per_jump_median": statistics.median(runs),
@@ -86,9 +98,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT, help="output directory")
     args = parser.parse_args(argv)
     cases = []
-    for n, lanes, t_max in CASES:
-        cases.append(time_case(n, lanes, t_max, args.repeat))
-        print(f"n={n:4d} lanes={lanes:5d} t={t_max:g}: "
+    for n, lanes, t_max, block in CASES:
+        cases.append(time_case(n, lanes, t_max, block, args.repeat))
+        print(f"n={n:4d} lanes={lanes:5d} block={block:5d} t={t_max:g}: "
               f"{cases[-1]['us_per_jump_median']:.2f} us per jump", file=sys.stderr)
     result = {
         "label": args.label,
