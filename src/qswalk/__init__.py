@@ -52,7 +52,6 @@ from .tilt import (
     free_energy,
     normalized_activity,
     scan,
-    stationary_dispersion,
     stationary_references,
     tilted_superoperator,
     uniform_tilt,
@@ -104,7 +103,6 @@ __all__ = [
     "rk4_step_matrix",
     "scan",
     "simulate",
-    "stationary_dispersion",
     "stationary_references",
     "steady_state",
     "symmetrized_adjacency",

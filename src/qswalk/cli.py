@@ -11,7 +11,7 @@ values (:func:`~qswalk.tilt.stationary_references`).  The
 environment variable ``QSWALK_WORKERS`` bounds the process count of
 scans and ensembles (default: serial): a scan uses at most one process
 per point, an ensemble at most one per trajectory and per
-``trajectory._POOL_WEIGHTS`` of n_traj x n^2.
+``trajectory._POOL_WORK`` of (n_traj x t_max - 2n) x n^2.
 """
 
 from __future__ import annotations

@@ -28,16 +28,18 @@ count, so that each round steps a prefix of the columns.  A lane's
 result does not depend on the block size or on its position in the
 block:
 
-* States are held as real vectors (Re, Im), and every product is a
-  sequence of elementwise float64 operations in a fixed order, never a
-  BLAS call across lanes.
+* States are held as real vectors (Re, Im).  A round's state step is one
+  ``einsum`` with no BLAS, whose sum over eigenvectors runs in index
+  order for each lane (:func:`node_amplitudes`); all else is elementwise.
 * Each lane reads its own Philox4x64-10 stream keyed by its seed, in the
   order r, then u for each jump; :func:`uniforms` computes the stream of
   every lane at once, in integer arithmetic, bitwise equal to
   ``numpy.random.Philox(key=seed)``.
 * ``log``, ``cos`` and ``sin`` are applied elementwise to whole arrays;
   numpy's vector kernels take the same path for every element of a
-  contiguous or strided float64 array, whatever its length.
+  contiguous or strided float64 array, whatever its length.  numpy picks
+  its kernels per CPU, so another machine may differ in the last bit of a
+  weight: a jump changes only if a uniform falls within 1e-15 of a bin edge.
 """
 
 from __future__ import annotations
@@ -126,6 +128,13 @@ def choose_jump(table: tuple, q: np.ndarray, u: np.ndarray):
     return np.minimum((np.take(cdf, src, axis=1) <= v).sum(axis=0), last[src]), src
 
 
+def node_amplitudes(vt: np.ndarray, lone: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V x for each lane of x (2, n, lanes), from vt = V^T and ``lone``, vt with
+    contiguous rows.  einsum, with no BLAS, loops innermost along the lanes
+    (one lane: the destinations), so each sum over a runs in index order."""
+    return np.einsum("ad,cal->cdl", vt if x.shape[2] > 1 else lone, x)
+
+
 def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=False):
     """Run one trajectory per seed from ``psi0`` up to ``t_max``.
 
@@ -137,7 +146,7 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
     n, n_lanes = model.n, len(seeds)
     lam, v = model.eigenbasis
     vt = v.T  # vt[:, d]: the coefficients of |d>; vt[a]: eigenvector a
-    cols = vt[:, :, None]  # cols[a]: eigenvector a, for every lane
+    lone = np.ascontiguousarray(vt)  # for rounds of one lane
     c0 = vt @ psi0
     re = np.tile(c0.real[:, None], (1, n_lanes))
     im = c0.imag[:, None]  # the same for every lane; None once every lane has jumped
@@ -175,10 +184,7 @@ def run_lanes(model: QswModel, psi0: np.ndarray, t_max: float, seeds, record=Fal
                 x[0] += cs[1] * im
                 x[1] -= cs[0] * im
                 im = None
-            y = cols[0] * x[:, :1]  # V x, summed in column order
-            tmp = np.empty_like(y)
-            for a in range(1, n):
-                y += np.multiply(cols[a], x[:, a:a + 1], out=tmp)
+            y = node_amplitudes(vt, lone, x)
             y *= y
             dst[r, :m], src[r, :m] = choose_jump(table, y[0] + y[1], u[:m, r])
             re = vt[:, dst[r, :m]]

@@ -218,11 +218,6 @@ def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
     return delta, z @ (g @ m0 + y)
 
 
-def stationary_dispersion(model: QswModel, alpha) -> tuple:
-    """Exact per-node index of dispersion at s = 0 (see :func:`stationary_references`)."""
-    return stationary_references(model, alpha)[0]
-
-
 def dispersion(model: QswModel, s, h: float = DEFAULT_FD_STEP):
     """Per-node index of dispersion and its global sum.
 

@@ -5,8 +5,8 @@ is projected onto a node at each jump.  Waiting times are sampled
 exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
 by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
 Jumps into node i increment the count K_i.  Ensembles run blocks of
-``_BLOCK`` trajectories (``_LANE_NODES // n`` above 64 nodes) as lanes of
-that engine; :func:`simulate` is the one-lane case.
+``_BLOCK`` trajectories as lanes of that engine; :func:`simulate` is the
+one-lane case.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -32,8 +32,7 @@ DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 DEFAULT_N_TRAJ = 1000
 DEFAULT_SEED = 0
 _BLOCK = 1024  # lanes advanced together
-_LANE_NODES = 1 << 16  # lanes x n per block at most, so that a block's states stay in cache
-_POOL_WEIGHTS = 20000  # n_traj x n^2 (a jump steps n^2 products) per worker below which a fork does not pay
+_POOL_WORK = 50_000_000  # (n_traj x t_max - 2n) x n^2 per worker below which a fork does not pay
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,9 @@ def simulate(
 def _counts_block(args) -> np.ndarray:
     """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
     model, psi0, t_max, seeds = args
-    block = min(_BLOCK, max(1, _LANE_NODES // model.n))
     return np.concatenate([
-        run_lanes(model, psi0, t_max, seeds[k:k + block])[0]
-        for k in range(0, len(seeds), block)
+        run_lanes(model, psi0, t_max, seeds[k:k + _BLOCK])[0]
+        for k in range(0, len(seeds), _BLOCK)
     ])
 
 
@@ -127,9 +125,9 @@ def ensemble_stats(
     Trajectory idx uses the stream keyed by seed0 + idx, so the ensemble
     is reproducible and insensitive to how work is distributed.  With
     ``n_workers`` > 1 the seed range is split across at most that many
-    processes and at most one per trajectory and per ``_POOL_WEIGHTS`` of
-    n_traj x n^2 (a jump's state step costs n^2), so that an ensemble too
-    small to pay for a fork runs in this process.
+    processes and at most one per trajectory and per ``_POOL_WORK`` of
+    (n_traj x t_max - 2n) x n^2 (n^2 products a jump, less 2n jumps for a worker's
+    O(n^3) set-up), so that an ensemble too small to pay for a fork runs here.
     ``dt`` is checked to be positive and otherwise ignored, as in
     :func:`simulate`.
     """
@@ -137,7 +135,8 @@ def ensemble_stats(
         raise ValueError("ensemble statistics need n_traj >= 2")
     seeds = range(seed0, seed0 + n_traj)
     psi = _initial_state(model, psi0, t_max, dt, seeds)
-    k = _pool_size(n_workers, min(n_traj, n_traj * model.n ** 2 // _POOL_WEIGHTS))
+    work = (n_traj * t_max - 2 * model.n) * model.n ** 2
+    k = _pool_size(n_workers, min(n_traj, int(work // _POOL_WORK)))
     chunks = [
         (model, psi, t_max, seeds[n_traj * i // k:n_traj * (i + 1) // k]) for i in range(k)
     ]

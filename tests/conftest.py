@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ def six_node_model(six_node_graph):
 @pytest.fixture(scope="session")
 def two_node_classical(two_node_graph):
     return q.build_qsw(two_node_graph, coherent_weight=0.0)
+
+
+@pytest.fixture(scope="session")
+def random64_model():
+    # 64 nodes and 3n distinct edges, drawn as perfbench draws its dense graph
+    n = 64
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return q.build_qsw(q.DirectedGraph(n=n, edges=frozenset(random.Random(1).sample(pairs, 3 * n))))
 
 
 @pytest.fixture(scope="session")

@@ -215,10 +215,11 @@ class _InProcessPool:
 
 def test_worker_pool_is_no_larger_than_the_work(two_node_file, monkeypatch, capsys):
     # QSWALK_WORKERS is an upper bound: a scan gets one worker per point,
-    # an ensemble one per _POOL_WEIGHTS jump weights (n_traj x n^2)
+    # an ensemble one per _POOL_WORK of (n_traj x t_max - 2n) x n^2
+    monkeypatch.setattr(trajectory, "_POOL_WORK", 100)
     scan_args = ["scan", "--input", two_node_file, "--s-min", "-0.5", "--s-max", "0.5", "--s-steps", "4"]
     sim_args = ["simulate", "--input", two_node_file, "--t-max", "5", "--n-traj", "2"]
-    big = str(2 * trajectory._POOL_WEIGHTS // 4)  # two workers' worth of two-node lanes
+    big = "108"  # (108 x 0.5 - 2 x 2) x 2^2 = 200: two workers' worth of two-node work
     big_args = ["simulate", "--input", two_node_file, "--t-max", "0.5", "--n-traj", big]
     runs = (scan_args, sim_args, big_args)
     assert all(main(args) == 0 for args in runs)

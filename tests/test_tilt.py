@@ -309,11 +309,11 @@ def test_dispersion_undefined_where_activity_vanishes(two_node_model):
 
 def test_stationary_dispersion_matches_fd_and_skips_nodes_no_jump_reaches(single_node_model):
     # at damping 1 the last node has no in-edge, so no jump lands there
-    assert q.stationary_dispersion(single_node_model, [1.0]) == (1.0,)  # Poisson
+    assert q.stationary_references(single_node_model, [1.0])[0] == (1.0,)  # Poisson
     for text in ("n 3\n0 1\n1 0\n2 0\n", "n 4\n0 1\n1 2\n2 0\n3 0\n3 1\n"):
         model = q.build_qsw(q.parse_edge_list(text), damping=1.0)
         alpha = q.activity_from_steady_state(model)
-        delta = q.stationary_dispersion(model, alpha)
+        delta = q.stationary_references(model, alpha)[0]
         assert alpha[-1] == 0.0 and delta[-1] is None
         with np.errstate(invalid="ignore"):
             _, fd = richardson_activity_dispersion(model)
@@ -335,7 +335,7 @@ def test_start_offset_matches_dense_integral(name):
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for psi0 in (None, psi / np.linalg.norm(psi)):
         delta, b = q.stationary_references(model, alpha, psi0)
-        assert delta == q.stationary_dispersion(model, alpha)
+        assert delta == q.stationary_references(model, alpha)[0]
         start = np.full(n, n ** -0.5) if psi0 is None else psi0
         dense = dense_mean_counts(model, start, 200.0) - 200.0 * dense_alpha
         assert_allclose(b, dense, rtol=0, atol=1e-10)

@@ -167,21 +167,41 @@ def test_uniform_chunks_continue_one_stream(seed):
             assert np.array_equal(lanes[k], uniforms(block[k:k + 1], chunk)[0])
 
 
-@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
+@pytest.mark.parametrize("graph", ["two_node_model", "six_node_model", "random64_model"])
 def test_lane_matches_simulate_whatever_the_block(graph, request):
     model = request.getfixturevalue(graph)
+    t_max = 15.0 if model.n < 64 else 5.0
     seeds = list(range(300, 364))
-    one_block = _lanes(model, seeds, 15.0)
+    one_block = _lanes(model, seeds, t_max)
     # the same seeds reversed, in blocks of 5: other neighbours and positions
     rev = seeds[::-1]
-    split = [_lanes(model, rev[k:k + 5], 15.0) for k in range(0, len(rev), 5)]
+    split = [_lanes(model, rev[k:k + 5], t_max) for k in range(0, len(rev), 5)]
     split_counts = np.concatenate([c for c, _ in split])[::-1]
     split_events = [e for _, ev in split for e in ev][::-1]
     for k, seed in enumerate(seeds):
-        rec = q.simulate(model, t_max=15.0, dt=0.05, seed=seed)
+        rec = q.simulate(model, t_max=t_max, dt=0.05, seed=seed)
         assert rec.jump_events == tuple(one_block[1][k]) == tuple(split_events[k])
         assert np.array_equal(rec.counts, one_block[0][k])
         assert np.array_equal(rec.counts, split_counts[k])
+
+
+@pytest.mark.parametrize("n", [2, 6, 64, 256])
+def test_state_step_sums_each_lane_in_eigenvector_order(n):
+    # node_amplitudes gives each lane the sum over a in index order, as a
+    # loop over eigenvectors would, alone or among other lanes
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n))
+    vt = np.linalg.eigh(h + h.T)[1].T
+    lone = np.ascontiguousarray(vt)
+    x = rng.standard_normal((2, n, 17))
+    loop = vt[0, :, None] * x[:, :1]
+    for a in range(1, n):
+        loop = loop + vt[a, :, None] * x[:, a:a + 1]
+    assert np.array_equal(jumps.node_amplitudes(vt, lone, x), loop)
+    for lanes in (1, 2, 3):
+        for k in range(0, 17, lanes):
+            part = x[:, :, k:k + lanes].copy()
+            assert np.array_equal(jumps.node_amplitudes(vt, lone, part), loop[:, :, k:k + lanes])
 
 
 @pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
@@ -219,8 +239,6 @@ def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
     args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, range(40, 70))
     whole = _counts_block(args)
     monkeypatch.setattr(trajectory, "_BLOCK", 7)
-    assert np.array_equal(_counts_block(args), whole)
-    monkeypatch.setattr(trajectory, "_LANE_NODES", 3 * 2)  # 3 two-node lanes
     assert np.array_equal(_counts_block(args), whole)
 
 
@@ -377,7 +395,7 @@ def test_ensemble_matches_manual_loop(two_node_model):
 
 def test_ensemble_parallel_matches_serial(two_node_model, monkeypatch):
     serial = q.ensemble_stats(two_node_model, t_max=5.0, dt=0.05, n_traj=8, seed0=7)
-    monkeypatch.setattr(trajectory, "_POOL_WEIGHTS", 1)  # fork two real workers for 32 weights
+    monkeypatch.setattr(trajectory, "_POOL_WORK", 1)  # fork two real workers for a small ensemble
     parallel = q.ensemble_stats(
         two_node_model, t_max=5.0, dt=0.05, n_traj=8, seed0=7, n_workers=2
     )
@@ -386,24 +404,28 @@ def test_ensemble_parallel_matches_serial(two_node_model, monkeypatch):
     assert np.array_equal(serial.dispersion_hat, parallel.dispersion_hat)
 
 
-@pytest.mark.parametrize("n, workers", [(6, 1), (24, 2), (64, 2)])
+@pytest.mark.parametrize("n, workers", [(6, 1), (24, 2), (64, 2), (512, 1), (1024, 2)])
 def test_pool_forks_only_for_ensembles_that_pay(n, workers, monkeypatch):
-    # 200 trajectories under n_workers=2: six nodes' 7,200 jump weights
-    # run in this process, 24 and 64 nodes split over two workers
+    # (n_traj, t_max) under n_workers=2, from the measured crossover: six
+    # nodes at 200 x 200 (the pooled benchmark's size) and 512 nodes at
+    # 64 x 20 lose time in a pool and run in this process, although the
+    # latter has 3.4e8 of n_traj x t_max x n^2; the others split
+    n_traj, t_max = {6: (200, 200.0), 24: (1000, 200.0), 64: (1000, 100.0),
+                     512: (64, 20.0), 1024: (128, 20.0)}[n]
     ring = q.DirectedGraph(n=n, edges=frozenset((i, (i + 1) % n) for i in range(n)))
     jobs = []
 
-    def fan_out(fn, chunks, n_workers):
+    def fan_out(fn, chunks, n_workers):  # counts of no jumps: the split is all that is checked
         jobs.append(len(chunks))
-        return [fn(c) for c in chunks]
+        return [np.zeros((len(c[-1]), n), dtype=np.int64) for c in chunks]
 
     monkeypatch.setattr(trajectory, "_fan_out", fan_out)
-    q.ensemble_stats(q.build_qsw(ring), t_max=0.05, n_traj=200, n_workers=2)
+    q.ensemble_stats(q.build_qsw(ring), t_max=t_max, n_traj=n_traj, n_workers=2)
     assert jobs == [workers]
 
 
 def test_pool_has_no_more_workers_than_trajectories(two_node_model, monkeypatch):
-    # with one worker's worth of weights in every jump weight, 2
+    # with one worker's worth of work in every unit of work, 2
     # trajectories under n_workers=4 still make 2 jobs, none of them empty
     serial = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3)
     jobs = []
@@ -412,7 +434,7 @@ def test_pool_has_no_more_workers_than_trajectories(two_node_model, monkeypatch)
         jobs.append([len(c[-1]) for c in chunks])
         return [fn(c) for c in chunks]
 
-    monkeypatch.setattr(trajectory, "_POOL_WEIGHTS", 1)
+    monkeypatch.setattr(trajectory, "_POOL_WORK", 1)
     monkeypatch.setattr(trajectory, "_fan_out", fan_out)
     pooled = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3, n_workers=4)
     assert jobs == [[1, 1]]

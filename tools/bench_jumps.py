@@ -11,9 +11,9 @@ the ordered node pairs), with damping 0.85 and coherent weight 1:
 
 * n = 2 and n = 6: 200 lanes at t = 200 (the Monte Carlo workloads' size);
 * n = 64: 1024 lanes at t = 20;
-* n = 256: 64 lanes at t = 20; and 1024 lanes at t = 5, run as one block
-  and in the blocks of 256 lanes that ``trajectory._LANE_NODES`` (lanes
-  x n) gives an ensemble;
+* n = 256: 64 lanes at t = 20, and 1024 lanes at t = 5 as one block;
+* n = 6: 8192 lanes at t = 50, in the blocks of ``trajectory._BLOCK``
+  (1024) lanes that an ensemble runs, and as one block;
 * n = 1024: 16 lanes at t = 2.
 
 Lane k runs seed 1000 + k.  Each case runs once untimed (the model's
@@ -48,7 +48,7 @@ from qswalk.jumps import run_lanes  # noqa: E402
 
 CASES = (  # (n, lanes, t_max, lanes per run_lanes call)
     (2, 200, 200.0, 200), (6, 200, 200.0, 200), (64, 1024, 20.0, 1024), (256, 64, 20.0, 64),
-    (256, 1024, 5.0, 1024), (256, 1024, 5.0, 256), (1024, 16, 2.0, 16),
+    (256, 1024, 5.0, 1024), (6, 8192, 50.0, 1024), (6, 8192, 50.0, 8192), (1024, 16, 2.0, 16),
 )
 GRAPH_SEED = 1
 FIRST_SEED = 1000
