@@ -204,7 +204,8 @@ def cmd_scan(cfg: RunConfig) -> int:
         points = scan(model, grid, h=cfg.fd_step, n_workers=cfg.n_workers)
     with _open_output(cfg.output) as fp:
         qio.write_scan_csv(fp, points, model.n)
-    _report_crossover(points)
+    if cfg.limit_mode == "none":  # a limit point is no grid to find a peak on
+        _report_crossover(points)
     return EXIT_OK
 
 

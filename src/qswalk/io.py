@@ -8,7 +8,7 @@ doubles exactly.  Every writer emits a header row.  Undefined values
 from __future__ import annotations
 
 import csv
-from typing import IO, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -20,11 +20,20 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_pagerank_csv(fp: IO[str], scores: np.ndarray) -> None:
+def _write(fp: IO[str], header: list[str], rows: Iterable) -> None:
+    """Header row, then one line per row: str cells as they are, the rest through fmt."""
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["node", "score"])
-    for node, score in enumerate(scores):
-        writer.writerow([node, fmt(score)])
+    writer.writerow(header)
+    writer.writerows([c if isinstance(c, str) else fmt(c) for c in row] for row in rows)
+
+
+def _column(values, n: int):
+    """``values``, or n empty cells for an absent column."""
+    return [None] * n if values is None else values
+
+
+def write_pagerank_csv(fp: IO[str], scores: np.ndarray) -> None:
+    _write(fp, ["node", "score"], enumerate(scores))
 
 
 def write_ranks_csv(
@@ -33,12 +42,8 @@ def write_ranks_csv(
     activity0: np.ndarray,
     population: np.ndarray,
 ) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["node", "pagerank", "activity0", "population"])
-    for node in range(len(pagerank)):
-        writer.writerow(
-            [node, fmt(pagerank[node]), fmt(activity0[node]), fmt(population[node])]
-        )
+    header = ["node", "pagerank", "activity0", "population"]
+    _write(fp, header, zip(range(len(pagerank)), pagerank, activity0, population))
 
 
 def scan_header(n: int) -> list[str]:
@@ -65,20 +70,11 @@ def write_scan_csv(fp: IO[str], points: Sequence, n: int) -> None:
     delta_global, error.  Failed points keep their s and error cells,
     everything else empty.
     """
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(scan_header(n))
-    for pt in points:
-        alpha = pt.alpha if pt.alpha is not None else [None] * n
-        alpha_norm = pt.alpha_norm if pt.alpha_norm is not None else [None] * n
-        delta = pt.delta if pt.delta is not None else [None] * n
-        row = (
-            [_s_cell(pt.s), fmt(pt.theta)]
-            + [fmt(a) for a in alpha]
-            + [fmt(a) for a in alpha_norm]
-            + [fmt(d) for d in delta]
-            + [fmt(pt.delta_global), pt.error or ""]
-        )
-        writer.writerow(row)
+    _write(fp, scan_header(n), (
+        [_s_cell(pt.s), pt.theta, *_column(pt.alpha, n), *_column(pt.alpha_norm, n),
+         *_column(pt.delta, n), pt.delta_global, pt.error or ""]
+        for pt in points
+    ))
 
 
 def write_ensemble_csv(
@@ -99,8 +95,19 @@ def write_ensemble_csv(
     left empty, as are z-scores without a reference or error bar.
     """
     n = len(mean_rate)
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(
+    se, var, disp, dse = (
+        _column(c, n) for c in (standard_errors, var_rate, dispersion_hat, dispersion_se)
+    )
+    z_act = [
+        (rate - ref) / err if err is not None and err > 0 else None
+        for rate, ref, err in zip(mean_rate, activity_t, se)
+    ]
+    z_disp = [
+        (d - d0) / err if d is not None and err is not None and d0 is not None and err > 0 else None
+        for d, err, d0 in zip(disp, dse, dispersion0)
+    ]
+    _write(
+        fp,
         [
             "node",
             "mean_rate",
@@ -113,39 +120,12 @@ def write_ensemble_csv(
             "dispersion0",
             "z_dispersion",
             "activity_t",
-        ]
+        ],
+        zip(range(n), mean_rate, se, var, disp, dse, activity0, z_act, dispersion0, z_disp,
+            activity_t),
     )
-    for i in range(n):
-        se = standard_errors[i] if standard_errors is not None else None
-        z_act = None
-        if se is not None and se > 0:
-            z_act = (mean_rate[i] - activity_t[i]) / se
-        disp = dispersion_hat[i] if dispersion_hat is not None else None
-        dse = dispersion_se[i] if dispersion_se is not None else None
-        d0 = dispersion0[i]
-        z_disp = None
-        if disp is not None and dse is not None and d0 is not None and dse > 0:
-            z_disp = (disp - d0) / dse
-        writer.writerow(
-            [
-                i,
-                fmt(mean_rate[i]),
-                fmt(se),
-                fmt(var_rate[i] if var_rate is not None else None),
-                fmt(disp),
-                fmt(dse),
-                fmt(activity0[i]),
-                fmt(z_act),
-                fmt(d0),
-                fmt(z_disp),
-                fmt(activity_t[i]),
-            ]
-        )
 
 
 def write_events_csv(fp: IO[str], record) -> None:
     """Per-trajectory event log: one row per jump."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["time", "dst", "src"])
-    for (t, dst, src) in record.jump_events:
-        writer.writerow([fmt(t), dst, src])
+    _write(fp, ["time", "dst", "src"], record.jump_events)

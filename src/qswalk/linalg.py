@@ -70,9 +70,11 @@ def unvec(v: np.ndarray) -> ComplexMatrix:
     return v.reshape((n, n), order="F")
 
 
-def _real_or_complex(m) -> np.ndarray:
-    """``m`` as float64 if it is real, else as complex128."""
+def _square(m) -> np.ndarray:
+    """Square matrix ``m`` as float64 if it is real, else as complex128."""
     m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
 
 
@@ -94,9 +96,7 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     taken by inverse iteration (:func:`_eigenvector`), in real arithmetic
     when the input and the leading eigenvalue are both real.
     """
-    m = _real_or_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
 
@@ -175,9 +175,7 @@ def to_hermitian_basis(m: ComplexMatrix) -> np.ndarray:
     ``ValueError`` if ``M`` does not map Hermitian matrices to Hermitian
     ones (the result would not be real).
     """
-    x = np.array(m, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x = np.array(_square(m), dtype=complex)
     p, q = _hermitian_pairs(x.shape[0])
     r = math.sqrt(0.5)
     a, b = x[p], x[q]
@@ -197,9 +195,7 @@ def null_vector(m: ComplexMatrix) -> np.ndarray:
     raised, which downstream signals non-relaxing dynamics.  As in
     :func:`eig_general`, real input stays real.
     """
-    m = _real_or_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
 
     try:
         values, vectors = np.linalg.eig(m)
@@ -236,6 +232,17 @@ def rk4_step_matrix(m: ComplexMatrix, dt: float) -> ComplexMatrix:
     return p
 
 
+def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
+    """(propagator, time) of each RK4 step from 0 to t: floor(t/dt) steps
+    of dt, then one step of the remainder that lands on t."""
+    n_full, remainder = divmod(t, dt)
+    p = rk4_step_matrix(m, dt)
+    for k in range(1, int(n_full) + 1):
+        yield p, k * dt
+    if remainder > 0:
+        yield rk4_step_matrix(m, remainder), t
+
+
 def integrate_linear(
     m: ComplexMatrix, v0: np.ndarray, t: float, dt: float
 ) -> np.ndarray:
@@ -258,16 +265,12 @@ def integrate_linear(
     if t == 0:
         return v
 
-    n_full, remainder = divmod(t, dt)
-    p = rk4_step_matrix(m, dt)
     # overflow is caught by the finiteness guard, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(int(n_full)):
+        for k, (p, time) in enumerate(_rk4_steps(m, t, dt)):
             v = p @ v
             if k % 256 == 0 and not np.all(np.isfinite(v)):
-                raise DivergenceError(f"non-finite state at t={(k + 1) * dt:g}")
-        if remainder > 0:
-            v = rk4_step_matrix(m, remainder) @ v
+                raise DivergenceError(f"non-finite state at t={time:g}")
     if not np.all(np.isfinite(v)):
         raise DivergenceError("non-finite state at the end of integration")
     return v

@@ -14,7 +14,6 @@ its own, whatever the blocking or the number of worker processes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DivergenceError
 from .jumps import run_lanes
 from .lindblad import QswModel
-from .linalg import eig_general, rk4_step_matrix
+from .linalg import _rk4_steps, eig_general
 from .tilt import _fan_out, _pool_size, tilted_superoperator
 
 DEFAULT_T_MAX = 100.0
@@ -208,18 +207,12 @@ def free_energy_by_integration(
     w = tilted_superoperator(model, s)
     n = model.n
     diag = np.arange(n) * (n + 1)
-    p = rk4_step_matrix(w, dt)
     y = np.zeros(n * n, dtype=complex)
     y[diag] = 1.0 / n  # vec of the maximally mixed state
 
-    n_full, rem = divmod(t_max, dt)
-    steps = itertools.chain(  # full steps, then a shorter one that lands on t_max
-        ((p, k * dt) for k in range(1, int(n_full) + 1)),
-        [(rk4_step_matrix(w, rem), t_max)] if rem > 0 else [],
-    )
     times = [0.0]
     logz = [0.0]
-    for step, t in steps:
+    for step, t in _rk4_steps(w, t_max, dt):
         y = step @ y
         tr = complex(y[diag].sum()).real
         if not (math.isfinite(tr) and tr > 0):

@@ -165,13 +165,17 @@ def test_scan_grid_schema_and_values(two_node_file, capsys):
 
 def test_scan_limit_modes(two_node_file, capsys):
     assert main(["scan", "--input", two_node_file, "--limit-mode", "inactive"]) == 0
-    rows = _rows(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""  # no peak report for a single limit point
+    rows = _rows(captured.out)
     assert len(rows) == 2
     assert float(rows[1][0]) == np.inf
     assert float(rows[1][1]) == -1.0
 
     assert main(["scan", "--input", two_node_file, "--limit-mode", "active"]) == 0
-    rows = _rows(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = _rows(captured.out)
     assert float(rows[1][0]) == -np.inf
     assert float(rows[1][1]) == 1.0
     head = rows[0]

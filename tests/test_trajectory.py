@@ -491,6 +491,19 @@ def test_integration_full_output(two_node_model):
     assert out.n_samples >= 2
 
 
+def test_integration_remainder_step_lands_on_t_max(two_node_model, single_node_model):
+    # t_max is no multiple of dt: ten steps of 0.1, then one of 0.05
+    out = q.free_energy_by_integration(
+        two_node_model, q.uniform_tilt(two_node_model, 0.3), t_max=1.05, dt=0.1,
+        full_output=True,
+    )
+    assert out.window == (0.8 * 1.05, 1.05)
+    assert out.n_samples == 3  # t = 0.9, 1.0 and 1.05
+    for sv in (-1.0, 0.5):
+        slope = q.free_energy_by_integration(single_node_model, [sv], t_max=10.05, dt=0.01)
+        assert_allclose(slope, np.expm1(-sv), rtol=0, atol=1e-8)
+
+
 def test_integration_validation(two_node_model):
     s = np.zeros(2)
     with pytest.raises(ValueError):
