@@ -5,9 +5,9 @@ dynamical activity vs. steady-state populations), ``scan`` (uniform-tilt
 thermodynamic scan), ``simulate`` (jump Monte Carlo ensemble).  All
 outputs are CSV with a header row; ``--output -`` (the default) writes
 to stdout.  Exit codes: 0 success, 2 usage/input error, 3 numerical
-failure or a model too large for the dense generator (only ``scan``
-grids build it).  The reference columns of ``simulate`` are exact n x n
-values (:func:`~qswalk.tilt.stationary_references`).  The
+failure or a model too large to allocate or for the dense generator
+(only ``scan`` grids build it).  The reference columns of ``simulate``
+are exact n x n values (:func:`~qswalk.tilt.stationary_references`).  The
 environment variable ``QSWALK_WORKERS`` bounds the process count of
 scans and ensembles (default: serial): a scan uses at most one process
 per point, an ensemble at most one per trajectory and per
@@ -286,7 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, EdgeListError) as exc:
         print(f"qswalk: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SizeBudgetError as exc:
+    except (SizeBudgetError, MemoryError) as exc:
         print(f"qswalk: model too large: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except QswError as exc:

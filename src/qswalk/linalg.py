@@ -233,14 +233,12 @@ def rk4_step_matrix(m: ComplexMatrix, dt: float) -> ComplexMatrix:
 
 
 def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
-    """(propagator, time) of each RK4 step from 0 to t: floor(t/dt) steps
-    of dt, then one step of the remainder that lands on t."""
-    n_full, remainder = divmod(t, dt)
-    p = rk4_step_matrix(m, dt)
-    for k in range(1, int(n_full) + 1):
-        yield p, k * dt
-    if remainder > 0:
-        yield rk4_step_matrix(m, remainder), t
+    """(propagator, time) of each of k = ceil(t/dt) equal RK4 steps of
+    t/k <= dt from 0 to t > 0: one propagator, times t*(j/k) ending on t."""
+    k = math.ceil(t / dt)
+    p = rk4_step_matrix(m, t / k)
+    for j in range(1, k + 1):
+        yield p, t * (j / k)
 
 
 def integrate_linear(
@@ -248,9 +246,9 @@ def integrate_linear(
 ) -> np.ndarray:
     """Integrate v' = M v from 0 to t with fixed-step RK4; returns v(t).
 
-    Takes floor(t/dt) full steps and one final partial step so the
-    endpoint is hit exactly.  Global error is O(dt^4).  Raises
-    :class:`DivergenceError` if the state leaves the finite range.
+    Takes ceil(t/dt) equal steps, so the endpoint is hit exactly.  Global
+    error is O(dt^4).  Raises :class:`DivergenceError` if the state leaves
+    the finite range.
     """
     m = np.asarray(m, dtype=complex)
     v = np.asarray(v0, dtype=complex).copy()

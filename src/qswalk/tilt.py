@@ -148,16 +148,9 @@ def active_limit_normalized_activity(model: QswModel) -> np.ndarray:
 
 
 def _stencil(model: QswModel, s: np.ndarray, h: float):
-    """theta at s +/- h along every coordinate axis."""
-    n = model.n
-    tp = np.empty(n)
-    tm = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        tp[i] = free_energy(model, s + e)
-        tm[i] = free_energy(model, s - e)
-    return tp, tm
+    """theta at s +/- h along every coordinate axis, as rows (plus, minus)."""
+    steps = h * np.eye(model.n)
+    return np.array([(free_energy(model, s + e), free_energy(model, s - e)) for e in steps]).T
 
 
 def activity(
@@ -169,9 +162,7 @@ def activity(
     :class:`ConvergenceError` if any component moves by more than 1e-6
     — the Richardson guard against an ill-chosen step.
     """
-    if not h > 0:
-        raise ValueError("finite-difference step must be positive")
-    return _observables(model, _as_tilt(model, s), h, self_check).alpha
+    return _observables(model, s, h, self_check).alpha
 
 
 def activity_from_steady_state(model: QswModel) -> np.ndarray:
@@ -228,9 +219,7 @@ def dispersion(model: QswModel, s, h: float = DEFAULT_FD_STEP):
     component is.  The step-halving self-check of :func:`activity`
     always runs.  Returns ``(delta, delta_global)``.
     """
-    if not h > 0:
-        raise ValueError("finite-difference step must be positive")
-    point = _observables(model, _as_tilt(model, s), h, self_check=True)
+    point = _observables(model, s, h, self_check=True)
     return point.delta, point.delta_global
 
 
@@ -245,10 +234,11 @@ def normalized_activity(alpha) -> np.ndarray:
     return alpha / total
 
 
-def _observables(
-    model: QswModel, s: np.ndarray, h: float, self_check: bool = False
-) -> ThermoPoint:
+def _observables(model: QswModel, s, h: float, self_check: bool = False) -> ThermoPoint:
     """All observables at one tilt from a shared derivative stencil."""
+    if not h > 0:
+        raise ValueError("finite-difference step must be positive")
+    s = _as_tilt(model, s)
     t0 = free_energy(model, s)
     tp, tm = _stencil(model, s, h)
     alpha = -(tp - tm) / (2.0 * h)
@@ -297,7 +287,7 @@ def _fan_out(fn, jobs: list, n_workers: Optional[int]) -> list:
 def _scan_worker(args) -> ThermoPoint:
     model, s, h = args
     try:  # numerical failures are recorded per point, never abort the scan
-        return _observables(model, _as_tilt(model, s), h)
+        return _observables(model, s, h)
     except (QswError, ValueError, np.linalg.LinAlgError) as exc:
         return ThermoPoint(
             s=np.atleast_1d(np.asarray(s, dtype=float)).copy(), error=str(exc)

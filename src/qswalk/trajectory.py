@@ -210,24 +210,22 @@ def free_energy_by_integration(
     y = np.zeros(n * n, dtype=complex)
     y[diag] = 1.0 / n  # vec of the maximally mixed state
 
-    times = [0.0]
-    logz = [0.0]
+    window_start = 0.8 * t_max
+    window = []  # (t, log-trace) of the steps that land in the fit window
+    logz = 0.0
     for step, t in _rk4_steps(w, t_max, dt):
         y = step @ y
         tr = complex(y[diag].sum()).real
         if not (math.isfinite(tr) and tr > 0):
             raise DivergenceError(f"tilted trace became {tr!r} at t={t:g}")
-        times.append(t)
-        logz.append(logz[-1] + math.log(tr))
+        logz += math.log(tr)
+        if t >= window_start:
+            window.append((t, logz))
         y = y / tr
 
-    t_arr = np.asarray(times)
-    z_arr = np.asarray(logz)
-    window_start = 0.8 * t_max
-    mask = t_arr >= window_start
-    if mask.sum() < 2:
+    if len(window) < 2:
         raise ValueError("fewer than 2 samples in the fit window; lower dt or raise t_max")
-    slope = float(np.polyfit(t_arr[mask], z_arr[mask], 1)[0])
+    slope = float(np.polyfit(*np.transpose(window), 1)[0])
     if not full_output:
         return slope
     spectrum = eig_general(w).full_spectrum
@@ -237,6 +235,6 @@ def free_energy_by_integration(
         theta=slope,
         spectral_gap=gap,
         window=(window_start, t_max),
-        n_samples=int(mask.sum()),
+        n_samples=len(window),
     )
 

@@ -414,12 +414,16 @@ def test_malformed_edge_list_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--damping", "0"],
-        ["--damping", "-0.1"],
+        ["pagerank", "--damping", "0"],
+        ["pagerank", "--damping", "-0.1"],
+        ["ranks", "--coherent-weight", "-1"],
+        ["simulate", "--seed", "-1"],
     ],
 )
 def test_bad_parameters_exit_2(two_node_file, extra, capsys):
-    assert main(["pagerank", "--input", two_node_file] + extra) == 2
+    command, flag, value = extra
+    assert main([command, "--input", two_node_file, flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"qswalk: {flag} must be ")
 
 
 @pytest.mark.parametrize(
@@ -466,6 +470,21 @@ def test_model_over_dense_budget_exits_3(tmp_path, capsys):
     assert "qswalk: model too large: a 200-node model" in captured.err
     assert "limited to 64 nodes" in captured.err
     assert peak < 100 << 20  # no allocation anywhere near the generator's size
+
+
+@pytest.mark.parametrize("command", ["pagerank", "ranks", "scan", "simulate"])
+def test_model_too_large_to_allocate_exits_3(two_node_file, command, monkeypatch, capsys):
+    # what the n x n Google matrix of a 1,000,000-node edge list raises; not
+    # allocated for real, since an overcommitting kernel grants it lazily
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("qswalk.cli.google_matrix", unallocatable)
+    monkeypatch.setattr("qswalk.cli.build_qsw", unallocatable)
+    assert main([command, "--input", two_node_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qswalk: model too large: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_simulate_runs_past_the_dense_limit(tmp_path, capsys):

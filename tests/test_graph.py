@@ -71,6 +71,10 @@ def test_parse_allows_self_loop():
         ("n -3\n", 1),
         ("0 1\nn 2\n", 2),
         ("# c\n\n0 bad\n", 3),
+        ("n\n", 1),
+        ("n 5 6\n", 1),
+        ("n x\n", 1),
+        ("0 1048576\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -230,6 +234,11 @@ def test_pagerank_rejects_non_stochastic():
         q.pagerank(np.eye(2) * 0.5)
     with pytest.raises(ValueError):
         q.pagerank(np.array([[1.5, 0.0], [-0.5, 1.0]]))
+
+
+def test_pagerank_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        q.pagerank(np.full((2, 3), 0.5))
 
 
 def test_pagerank_honors_iteration_cap(two_node_graph, monkeypatch):

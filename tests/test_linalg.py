@@ -240,8 +240,30 @@ def test_integrate_linear_matches_expm(rng):
 def test_integrate_linear_partial_final_step(rng):
     m = _random_complex(rng, (3, 3)) - 1.0 * np.eye(3)
     v0 = _random_complex(rng, (3,))
-    out = q.integrate_linear(m, v0, t=0.055, dt=0.01)  # 5 full steps + 0.005
+    out = q.integrate_linear(m, v0, t=0.055, dt=0.01)  # 6 equal steps of 0.0091666...
     assert_allclose(out, expm_propagate(m, v0, 0.055), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "t, dt, count", [(100.0, 1e-3, 100_000), (10.05, 0.01, 1005), (1.05, 0.1, 11), (0.055, 0.01, 6)]
+)
+def test_rk4_steps_are_ceil_t_over_dt_equal_steps(monkeypatch, t, dt, count):
+    # one propagator, built once, for ceil(t/dt) steps of t/k <= dt; the
+    # times rise strictly and the last is t itself, never a sliver after it
+    built = []
+
+    def spy(m, step):
+        built.append(step)
+        return object()
+
+    monkeypatch.setattr("qswalk.linalg.rk4_step_matrix", spy)
+    steps = list(q.linalg._rk4_steps(np.eye(2), t, dt))
+    times = np.array([time for _, time in steps])
+    assert len(steps) == count
+    assert len(built) == 1 and built[0] <= dt
+    assert all(p is steps[0][0] for p, _ in steps)
+    assert np.all(np.diff(times) > 0) and times[0] > 0
+    assert times[-1] == t
 
 
 def test_integrate_linear_zero_time_is_identity(rng):
@@ -257,6 +279,25 @@ def test_integrate_linear_requires_vector():
 def test_integrate_linear_detects_overflow():
     with pytest.raises(q.DivergenceError):
         q.integrate_linear(np.array([[50.0]]), np.ones(1), t=30.0, dt=0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q.vec(np.ones((2, 3))), "square matrix"),
+        (lambda: q.unvec(np.ones((2, 2))), "1-d"),
+        (lambda: q.eig_general(np.ones((2, 3))), "square matrix"),
+        (lambda: q.null_vector(np.ones((2, 3))), "square matrix"),
+        (lambda: q.eig_general(np.array([[1.0, np.nan], [0.0, 1.0]])), "non-finite"),
+        (lambda: q.integrate_linear(np.eye(3), np.ones(2), 1.0, 0.1), "dimension mismatch"),
+        (lambda: q.integrate_linear(np.eye(2), np.ones(2), 1.0, 0.0), "dt must be positive"),
+        (lambda: q.integrate_linear(np.eye(2), np.ones(2), 1.0, -0.1), "dt must be positive"),
+        (lambda: q.integrate_linear(np.eye(2), np.ones(2), -1.0, 0.1), "t must be non-negative"),
+    ],
+)
+def test_malformed_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_spectral_result_is_frozen():

@@ -304,6 +304,15 @@ def test_steady_state_flags_a_wrong_rate_vector(six_node_model, monkeypatch):
         q.steady_state(six_node_model)
 
 
+def test_steady_state_rejects_a_traceless_kernel_vector(six_node_model, monkeypatch):
+    # a rate vector whose entries cancel cannot be scaled to unit trace
+    monkeypatch.setattr(
+        "qswalk.lindblad.null_vector", lambda m: np.repeat([1.0, -1.0], 3) / np.sqrt(6)
+    )
+    with pytest.raises(q.DegeneracyError, match="nearly traceless"):
+        q.steady_state(six_node_model)
+
+
 def test_steady_state_needs_no_dense_generator():
     model = _complete_model(DENSE_NODE_LIMIT + 1)
     tracemalloc.start()

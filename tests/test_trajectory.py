@@ -492,16 +492,21 @@ def test_integration_full_output(two_node_model):
 
 
 def test_integration_remainder_step_lands_on_t_max(two_node_model, single_node_model):
-    # t_max is no multiple of dt: ten steps of 0.1, then one of 0.05
+    # t_max is no multiple of dt: eleven equal steps of 1.05/11
     out = q.free_energy_by_integration(
         two_node_model, q.uniform_tilt(two_node_model, 0.3), t_max=1.05, dt=0.1,
         full_output=True,
     )
     assert out.window == (0.8 * 1.05, 1.05)
-    assert out.n_samples == 3  # t = 0.9, 1.0 and 1.05
+    assert out.n_samples == 3  # t = 9/11, 10/11 and 11/11 of 1.05
     for sv in (-1.0, 0.5):
         slope = q.free_energy_by_integration(single_node_model, [sv], t_max=10.05, dt=0.01)
         assert_allclose(slope, np.expm1(-sv), rtol=0, atol=1e-8)
+    # 1,005 steps land on 10.05 with no sliver step that repeats the last time
+    out = q.free_energy_by_integration(
+        single_node_model, [0.5], t_max=10.05, dt=0.01, full_output=True
+    )
+    assert out.n_samples == 202
 
 
 def test_integration_validation(two_node_model):
