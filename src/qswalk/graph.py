@@ -153,11 +153,11 @@ def pagerank(g_matrix: StochasticMatrix) -> ProbabilityVector:
     (possible only for damping = 1 on a reducible or periodic graph).
     """
     g_matrix = np.asarray(g_matrix, dtype=float)
-    n = g_matrix.shape[0]
-    if g_matrix.ndim != 2 or g_matrix.shape[1] != n:
+    if g_matrix.ndim != 2 or g_matrix.shape[0] != g_matrix.shape[1]:
         raise ValueError("expected a square matrix")
+    n = g_matrix.shape[0]
     col_err = np.abs(g_matrix.sum(axis=0) - 1.0).max()
-    if col_err > 1e-10 or g_matrix.min() < -1e-15:
+    if not (col_err <= 1e-10 and g_matrix.min() >= -1e-15):  # NaN fails too
         raise ValueError(f"matrix is not column-stochastic (column error {col_err:.2e})")
 
     x = np.full(n, 1.0 / n)

@@ -234,11 +234,15 @@ def rk4_step_matrix(m: ComplexMatrix, dt: float) -> ComplexMatrix:
 
 def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
     """(propagator, time) of each of k = ceil(t/dt) equal RK4 steps of
-    t/k <= dt from 0 to t > 0: one propagator, times t*(j/k) ending on t."""
+    t/k <= dt from 0 to t: one propagator, times t*(j/k) ending on t, and
+    no step for t = 0.  t and dt are checked here, when it is called."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
     k = math.ceil(t / dt)
-    p = rk4_step_matrix(m, t / k)
-    for j in range(1, k + 1):
-        yield p, t * (j / k)
+    p = rk4_step_matrix(m, t / k) if k else None
+    return ((p, t * (j / k)) for j in range(1, k + 1))
 
 
 def integrate_linear(
@@ -256,12 +260,6 @@ def integrate_linear(
         raise ValueError("v0 must be 1-d")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != v.size:
         raise ValueError("dimension mismatch between matrix and state")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0:
-        return v
 
     # overflow is caught by the finiteness guard, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -236,8 +236,8 @@ def normalized_activity(alpha) -> np.ndarray:
 
 def _observables(model: QswModel, s, h: float, self_check: bool = False) -> ThermoPoint:
     """All observables at one tilt from a shared derivative stencil."""
-    if not h > 0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("finite-difference step must be positive and finite")
     s = _as_tilt(model, s)
     t0 = free_energy(model, s)
     tp, tm = _stencil(model, s, h)
@@ -269,16 +269,10 @@ def _observables(model: QswModel, s, h: float, self_check: bool = False) -> Ther
     )
 
 
-def _pool_size(n_workers: Optional[int], n_jobs: int) -> int:
-    """``n_workers`` capped at one per job: a pool forks every worker at once."""
-    return max(1, min(n_workers or 1, n_jobs))
-
-
-def _fan_out(fn, jobs: list, n_workers: Optional[int]) -> list:
+def _fan_out(fn, jobs: list, workers: int) -> list:
     """``[fn(job) for job in jobs]``, in input order, on a process pool
-    of ``_pool_size`` workers when that is more than one."""
-    workers = _pool_size(n_workers, len(jobs))
-    if workers == 1:
+    of ``workers`` processes when that is more than one."""
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
@@ -309,8 +303,8 @@ def scan(
     """
     if len(s_grid) == 0:
         raise ValueError("s_grid must be non-empty")
-    if not h > 0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("finite-difference step must be positive and finite")
     check_dense_budget(model.n)
     jobs = [(model, s, h) for s in s_grid]
-    return _fan_out(_scan_worker, jobs, n_workers)
+    return _fan_out(_scan_worker, jobs, min(n_workers or 1, len(jobs)))

@@ -4,9 +4,9 @@ A trajectory is a pure state that evolves coherently between jumps and
 is projected onto a node at each jump.  Waiting times are sampled
 exactly (tau = -ln r, since the no-jump norm of a QSW model is exp(-t))
 by the batched engine in :mod:`qswalk.jumps`, so no time step enters.
-Jumps into node i increment the count K_i.  Ensembles run blocks of
-``_BLOCK`` trajectories as lanes of that engine; :func:`simulate` is the
-one-lane case.
+Jumps into node i increment the count K_i.  Ensembles run equal blocks
+of at most ``_BLOCK`` trajectories as lanes of that engine; :func:`simulate`
+is the one-lane case.
 Randomness comes from counter-based Philox streams keyed by the seed, so
 trajectory idx of an ensemble (seed0 + idx) is bitwise reproducible on
 its own, whatever the blocking or the number of worker processes.
@@ -24,13 +24,13 @@ from .errors import DivergenceError
 from .jumps import run_lanes
 from .lindblad import QswModel
 from .linalg import _rk4_steps, eig_general
-from .tilt import _fan_out, _pool_size, tilted_superoperator
+from .tilt import _fan_out, tilted_superoperator
 
 DEFAULT_T_MAX = 100.0
 DEFAULT_DT = 1e-3  # integration step; the jump sampler takes no step
 DEFAULT_N_TRAJ = 1000
 DEFAULT_SEED = 0
-_BLOCK = 1024  # lanes advanced together
+_BLOCK = 1024  # lanes per run_lanes call, a memory bound: 90 MiB at 1,024 nodes
 _POOL_WORK = 50_000_000  # (n_traj x t_max - 2n) x n^2 per worker below which a fork does not pay
 
 
@@ -102,12 +102,9 @@ def simulate(
 
 
 def _counts_block(args) -> np.ndarray:
-    """Counts (len(seeds), n) of one trajectory per seed, in blocks of lanes."""
+    """Counts (len(seeds), n) of one trajectory per seed, as one block of lanes."""
     model, psi0, t_max, seeds = args
-    return np.concatenate([
-        run_lanes(model, psi0, t_max, seeds[k:k + _BLOCK])[0]
-        for k in range(0, len(seeds), _BLOCK)
-    ])
+    return run_lanes(model, psi0, t_max, seeds)[0]
 
 
 def ensemble_stats(
@@ -123,10 +120,12 @@ def ensemble_stats(
 
     Trajectory idx uses the stream keyed by seed0 + idx, so the ensemble
     is reproducible and insensitive to how work is distributed.  With
-    ``n_workers`` > 1 the seed range is split across at most that many
-    processes and at most one per trajectory and per ``_POOL_WORK`` of
-    (n_traj x t_max - 2n) x n^2 (n^2 products a jump, less 2n jumps for a worker's
-    O(n^3) set-up), so that an ensemble too small to pay for a fork runs here.
+    ``n_workers`` > 1 the ensemble runs on at most that many processes and
+    at most one per trajectory and per ``_POOL_WORK`` of (n_traj x t_max - 2n)
+    x n^2 (n^2 products a jump, less 2n jumps for a worker's O(n^3) set-up),
+    so that an ensemble too small to pay for a fork runs here.  The seed
+    range is cut once, into equal contiguous blocks of at most ``_BLOCK``
+    lanes, the same number for every worker.
     ``dt`` is checked to be positive and otherwise ignored, as in
     :func:`simulate`.
     """
@@ -135,11 +134,10 @@ def ensemble_stats(
     seeds = range(seed0, seed0 + n_traj)
     psi = _initial_state(model, psi0, t_max, dt, seeds)
     work = (n_traj * t_max - 2 * model.n) * model.n ** 2
-    k = _pool_size(n_workers, min(n_traj, int(work // _POOL_WORK)))
-    chunks = [
-        (model, psi, t_max, seeds[n_traj * i // k:n_traj * (i + 1) // k]) for i in range(k)
-    ]
-    counts = np.concatenate(_fan_out(_counts_block, chunks, n_workers), axis=0)
+    k = max(1, min(n_workers or 1, n_traj, int(work // _POOL_WORK)))
+    b = k * -(-n_traj // (k * _BLOCK))  # blocks: a multiple of k, each of <= _BLOCK lanes
+    blocks = [(model, psi, t_max, seeds[n_traj * i // b:n_traj * (i + 1) // b]) for i in range(b)]
+    counts = np.concatenate(_fan_out(_counts_block, blocks, k), axis=0)
 
     k = counts.astype(float)
     mean_k = k.mean(axis=0)
@@ -202,8 +200,6 @@ def free_energy_by_integration(
     how quickly the slope becomes reliable) is computed separately and
     reported when ``full_output`` is set.
     """
-    if not (t_max > 0 and dt > 0):
-        raise ValueError("t_max and dt must be positive")
     w = tilted_superoperator(model, s)
     n = model.n
     diag = np.arange(n) * (n + 1)

@@ -241,6 +241,15 @@ def test_pagerank_rejects_non_square():
         q.pagerank(np.full((2, 3), 0.5))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (np.array(0.5), "square"),  # 0-d: the shape is checked before it is read
+    (np.full((2, 2), np.nan), "column-stochastic"),  # refused before any iteration
+])
+def test_pagerank_checks_input_before_iterating(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        q.pagerank(matrix)
+
+
 def test_pagerank_honors_iteration_cap(two_node_graph, monkeypatch):
     monkeypatch.setattr("qswalk.graph.PAGERANK_MAX_ITER", 2)
     m = q.google_matrix(two_node_graph)

@@ -15,6 +15,9 @@ import qswalk as q
 from oracles import expm_propagate, leading_eigenvalue_scipy
 
 
+_TWO_NODE = q.build_qsw(q.DirectedGraph(n=2, edges=frozenset({(0, 1), (1, 0)})))
+
+
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -281,6 +284,31 @@ def test_integrate_linear_detects_overflow():
         q.integrate_linear(np.array([[50.0]]), np.ones(1), t=30.0, dt=0.1)
 
 
+def test_integrate_linear_checks_the_final_state():
+    # 250 steps: the in-loop check runs at step 0 only, the overflow comes later
+    with pytest.raises(q.DivergenceError, match="at the end of integration"):
+        q.integrate_linear(np.array([[50.0]]), np.ones(1), t=25.0, dt=0.1)
+
+
+@pytest.mark.parametrize("solver, call", [
+    ("eigvals", lambda: q.eig_general(np.eye(2))),
+    ("eig", lambda: q.null_vector(np.diag([0.0, 1.0]))),
+])
+def test_eigensolver_failure_is_a_convergence_error(solver, call, monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(q.ConvergenceError, match="did not converge"):
+        call()
+
+
+def test_eig_general_rejects_a_wrong_eigenvector(monkeypatch):
+    monkeypatch.setattr("qswalk.linalg._eigenvector", lambda m, lam, scale: np.array([1.0, 0.0]))
+    with pytest.raises(q.ConvergenceError, match="residual"):
+        q.eig_general(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -293,6 +321,20 @@ def test_integrate_linear_detects_overflow():
         (lambda: q.integrate_linear(np.eye(2), np.ones(2), 1.0, 0.0), "dt must be positive"),
         (lambda: q.integrate_linear(np.eye(2), np.ones(2), 1.0, -0.1), "dt must be positive"),
         (lambda: q.integrate_linear(np.eye(2), np.ones(2), -1.0, 0.1), "t must be non-negative"),
+        *[
+            (call, message)
+            for t, dt, message in [
+                (1.0, np.inf, "dt must be positive and finite"),
+                (1.0, np.nan, "dt must be positive and finite"),
+                (np.inf, 0.1, "t must be non-negative and finite"),
+                (np.nan, 0.1, "t must be non-negative and finite"),
+            ]
+            for call in [
+                lambda t=t, dt=dt: q.integrate_linear(np.eye(2), np.ones(2), t, dt),
+                lambda t=t, dt=dt: q.evolve(_TWO_NODE, np.eye(2) / 2, t, dt),
+                lambda t=t, dt=dt: q.free_energy_by_integration(_TWO_NODE, [0.0, 0.0], t, dt),
+            ]
+        ],
     ],
 )
 def test_malformed_input_raises(call, message):

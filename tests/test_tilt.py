@@ -256,8 +256,9 @@ def test_activity_self_check_trips_on_coarse_step(two_node_model):
 
 
 def test_activity_validates_step(two_node_model):
-    with pytest.raises(ValueError):
-        q.activity(two_node_model, np.zeros(2), h=0.0)
+    for h in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            q.activity(two_node_model, np.zeros(2), h=h)
 
 
 def test_normalized_activity():
@@ -406,8 +407,9 @@ def test_scan_parallel_matches_serial(two_node_model):
 def test_scan_validates_input(two_node_model):
     with pytest.raises(ValueError):
         q.scan(two_node_model, [])
-    with pytest.raises(ValueError):
-        q.scan(two_node_model, [np.zeros(2)], h=-1.0)
+    for h in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            q.scan(two_node_model, [np.zeros(2)], h=h)
 
 
 def test_thermo_point_is_frozen(two_node_model):

@@ -235,11 +235,42 @@ def test_lanes_leaving_in_different_chunks_match_oracles(graph, request):
     assert len(events[0]) == jumps._ROUNDS  # at t_max = t33
 
 
+def _stats_bits(stats):
+    return [getattr(stats, f).tobytes() for f in ("mean_rate", "var_rate", "dispersion_hat")]
+
+
 def test_ensemble_is_independent_of_block_size(two_node_model, monkeypatch):
-    args = (two_node_model, np.full(2, 2 ** -0.5, dtype=complex), 10.0, range(40, 70))
-    whole = _counts_block(args)
+    # 30 trajectories in one block, then in blocks of at most 7 lanes,
+    # serially and in a real two-process pool: the same bits each time
+    def run(workers):
+        return _stats_bits(q.ensemble_stats(
+            two_node_model, t_max=10.0, n_traj=30, seed0=40, n_workers=workers
+        ))
+
+    whole = run(None)
+    monkeypatch.setattr(trajectory, "_POOL_WORK", 1)
+    assert run(2) == whole
     monkeypatch.setattr(trajectory, "_BLOCK", 7)
-    assert np.array_equal(_counts_block(args), whole)
+    assert run(None) == whole
+    assert run(2) == whole
+
+
+def test_ensemble_is_split_once_into_equal_blocks(two_node_model, monkeypatch):
+    # 450 trajectories over two workers in blocks of at most 100 lanes:
+    # six blocks of 75, three per worker, not two chunks of 225
+    serial = _stats_bits(q.ensemble_stats(two_node_model, t_max=2.0, n_traj=450))
+    calls = []
+
+    def fan_out(fn, blocks, workers):
+        calls.append(([len(b[-1]) for b in blocks], workers))
+        return [fn(b) for b in blocks]
+
+    monkeypatch.setattr(trajectory, "_BLOCK", 100)
+    monkeypatch.setattr(trajectory, "_POOL_WORK", 1)
+    monkeypatch.setattr(trajectory, "_fan_out", fan_out)
+    pooled = q.ensemble_stats(two_node_model, t_max=2.0, n_traj=450, n_workers=2)
+    assert calls == [([75] * 6, 2)]
+    assert _stats_bits(pooled) == serial
 
 
 @pytest.mark.parametrize("graph", ["two_node_model", "six_node_model"])
@@ -415,9 +446,9 @@ def test_pool_forks_only_for_ensembles_that_pay(n, workers, monkeypatch):
     ring = q.DirectedGraph(n=n, edges=frozenset((i, (i + 1) % n) for i in range(n)))
     jobs = []
 
-    def fan_out(fn, chunks, n_workers):  # counts of no jumps: the split is all that is checked
-        jobs.append(len(chunks))
-        return [np.zeros((len(c[-1]), n), dtype=np.int64) for c in chunks]
+    def fan_out(fn, blocks, workers):  # counts of no jumps: the split is all that is checked
+        jobs.append(workers)
+        return [np.zeros((len(b[-1]), n), dtype=np.int64) for b in blocks]
 
     monkeypatch.setattr(trajectory, "_fan_out", fan_out)
     q.ensemble_stats(q.build_qsw(ring), t_max=t_max, n_traj=n_traj, n_workers=2)
@@ -430,14 +461,14 @@ def test_pool_has_no_more_workers_than_trajectories(two_node_model, monkeypatch)
     serial = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3)
     jobs = []
 
-    def fan_out(fn, chunks, n_workers):
-        jobs.append([len(c[-1]) for c in chunks])
-        return [fn(c) for c in chunks]
+    def fan_out(fn, blocks, workers):
+        jobs.append(([len(b[-1]) for b in blocks], workers))
+        return [fn(b) for b in blocks]
 
     monkeypatch.setattr(trajectory, "_POOL_WORK", 1)
     monkeypatch.setattr(trajectory, "_fan_out", fan_out)
     pooled = q.ensemble_stats(two_node_model, t_max=5.0, n_traj=2, seed0=3, n_workers=4)
-    assert jobs == [[1, 1]]
+    assert jobs == [([1, 1], 2)]
     assert np.array_equal(serial.mean_rate, pooled.mean_rate)
     assert np.array_equal(serial.dispersion_hat, pooled.dispersion_hat)
 
@@ -521,7 +552,7 @@ def test_integration_validation(two_node_model):
 def test_integration_detects_divergence(two_node_model):
     # a strongly negative tilt grows the trace as exp(e^{|s|}); with a
     # huge step the scheme overflows and must say so
-    with pytest.raises((q.DivergenceError, OverflowError)):
+    with pytest.raises(q.DivergenceError, match="tilted trace became nan"):
         q.free_energy_by_integration(
             two_node_model, q.uniform_tilt(two_node_model, -600.0), t_max=100.0, dt=1.0
         )

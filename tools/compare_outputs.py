@@ -15,7 +15,9 @@ bundled graphs, ``--s-min -2 --s-max 2 --s-steps 3`` on the 16-node one);
 ``scan --limit-mode`` inactive and active; ``simulate --n-traj 200
 --t-max 200 --seed 1000``, serially and with ``QSWALK_WORKERS=2``; and
 ``simulate --n-traj 1 --t-max 50 --seed 7 --output f.csv`` with its
-``f.csv.events.csv``.
+``f.csv.events.csv``.  The 16-node graph adds ``simulate --n-traj 5000
+--t-max 100 --seed 1000``, serially and with ``QSWALK_WORKERS=2``: the
+one pooled case large enough to fork (two workers, three blocks each).
 
 Exit codes, stdout, stderr and the files a case writes are compared
 byte by byte.
@@ -125,6 +127,13 @@ def cases():
             yield f"{graph} scan --limit-mode {mode}", graph, ["scan", "--limit-mode", mode], {}, ()
         yield f"{graph} simulate", graph, mc, {}, ()
         yield f"{graph} simulate QSWALK_WORKERS=2", graph, mc, {"QSWALK_WORKERS": "2"}, ()
+        if graph == "dense16":  # above trajectory._POOL_WORK: the pool really forks
+            big = ["simulate", "--n-traj", "5000", "--t-max", "100", "--seed", "1000"]
+            yield f"{graph} simulate --n-traj 5000", graph, big, {}, ()
+            yield (
+                f"{graph} simulate --n-traj 5000 QSWALK_WORKERS=2", graph, big,
+                {"QSWALK_WORKERS": "2"}, (),
+            )
         yield (
             f"{graph} simulate --n-traj 1", graph,
             ["simulate", "--n-traj", "1", "--t-max", "50", "--seed", "7", "--output", "f.csv"],
