@@ -40,6 +40,7 @@ _REAL_PART_TIE = 1e-10  # eigenvalues closer than this in Re are tied
 _RESIDUAL_FACTOR = 1e-8  # eigenpair residual bound, relative to ||M||_F
 _SHIFT_FACTOR = 8.0 * np.finfo(float).eps  # inverse-iteration shift, relative to ||M||_F
 _KERNEL_TOL = 1e-9  # null_vector: |eigenvalue| counted as zero, relative to max(1, ||M||_F)
+_PAIR_BLOCK = 64  # index pairs combined at once by the Hermitian-basis conversion
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,11 @@ def _eigenvector(m: np.ndarray, lam, scale: float) -> np.ndarray:
     be exactly singular, its null vector is the eigenvector.
     """
     size = m.shape[0]
-    shifted = m - (lam + _SHIFT_FACTOR * (scale or 1.0)) * np.eye(size)
+    shift = lam + _SHIFT_FACTOR * (scale or 1.0)
+    # one copy, then the diagonal: the bits (signed zeros too) and the dtype of
+    # m - shift * I, without the identity and product temporaries
+    shifted = m - shift * 0.0
+    shifted.flat[:: size + 1] -= shift
     try:
         # cos(1..size): no rational vector, e.g. a left eigenvector of an
         # integer matrix, is orthogonal to it
@@ -175,13 +180,20 @@ def to_hermitian_basis(m: ComplexMatrix) -> np.ndarray:
     ``ValueError`` if ``M`` does not map Hermitian matrices to Hermitian
     ones (the result would not be real).
     """
-    x = np.array(_square(m), dtype=complex)
+    return _to_hermitian_basis_inplace(np.array(_square(m), dtype=complex))
+
+
+def _to_hermitian_basis_inplace(x: np.ndarray) -> np.ndarray:
+    """:func:`to_hermitian_basis`, overwriting the complex square matrix
+    ``x``: rows, then columns, are combined ``_PAIR_BLOCK`` index pairs at
+    a time, each entry exactly as by one whole-matrix step."""
     p, q = _hermitian_pairs(x.shape[0])
     r = math.sqrt(0.5)
-    a, b = x[p], x[q]
-    x[p], x[q] = (a + b) * r, (a - b) * (1j * r)
-    a, b = x[:, p], x[:, q]
-    x[:, p], x[:, q] = (a + b) * r, (a - b) * (-1j * r)
+    for y, phase in ((x, 1j * r), (x.T, -1j * r)):  # rows of x, then its columns
+        for k in range(0, p.size, _PAIR_BLOCK):
+            bp, bq = p[k:k + _PAIR_BLOCK], q[k:k + _PAIR_BLOCK]
+            a, b = y[bp], y[bq]
+            y[bp], y[bq] = (a + b) * r, (a - b) * phase
     if np.abs(x.imag).max(initial=0.0) > 1e-12 * max(1.0, np.abs(x.real).max()):
         raise ValueError("superoperator does not preserve Hermiticity")
     return np.ascontiguousarray(x.real)
@@ -235,11 +247,13 @@ def rk4_step_matrix(m: ComplexMatrix, dt: float) -> ComplexMatrix:
 def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
     """(propagator, time) of each of k = ceil(t/dt) equal RK4 steps of
     t/k <= dt from 0 to t: one propagator, times t*(j/k) ending on t, and
-    no step for t = 0.  t and dt are checked here, when it is called."""
+    no step for t = 0.  t, dt and t/dt are checked here, when it is called."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 <= t < math.inf:
         raise ValueError("t must be non-negative and finite")
+    if not t / dt < math.inf:
+        raise ValueError("the step count t/dt must be finite")
     k = math.ceil(t / dt)
     p = rk4_step_matrix(m, t / k) if k else None
     return ((p, t * (j / k)) for j in range(1, k + 1))

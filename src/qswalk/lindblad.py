@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, SizeBudgetError
 from .graph import DEFAULT_DAMPING, DirectedGraph, google_matrix, symmetrized_adjacency
-from .linalg import integrate_linear, null_vector, to_hermitian_basis, unvec, vec
+from .linalg import _to_hermitian_basis_inplace, integrate_linear, null_vector, unvec, vec
 
 # Aliases in the spirit of linalg.ComplexMatrix: a DensityMatrix is an
 # n x n complex ndarray (Hermitian, unit trace), a Superoperator an
@@ -58,8 +58,10 @@ Superoperator = np.ndarray
 DEFAULT_COHERENT_WEIGHT = 1.0
 _STEADY_RESIDUAL_TOL = 1e-8
 
-# Largest model whose dense n^2 x n^2 superoperators are assembled: at 64
-# nodes one complex generator takes 256 MiB.
+# Largest model whose dense n^2 x n^2 superoperators are assembled.  At 64
+# nodes the complex Liouvillian takes 256 MiB and the cached real generator
+# 128 MiB; building the latter peaks at 388 MB traced (424 MB RSS), and one
+# free_energy on it at 574 MB RSS (tools/bench_dense.py).
 DENSE_NODE_LIMIT = 64
 
 
@@ -121,7 +123,7 @@ class QswModel:
     def hermitian_generator(self) -> np.ndarray:
         """The Liouvillian in the orthonormal Hermitian basis: a real,
         read-only n^2 x n^2 matrix, built once at first use."""
-        w = to_hermitian_basis(liouvillian(self))
+        w = _to_hermitian_basis_inplace(liouvillian(self))  # no other reference to it
         w.flags.writeable = False
         return w
 
@@ -164,6 +166,11 @@ def build_qsw(
         raise ValueError(f"coherent_weight must be finite and >= 0, got {coherent_weight}")
     h = coherent_weight * symmetrized_adjacency(g)
     return QswModel(h, np.sqrt(google_matrix(g, damping)))
+
+
+def _uniform_state(n: int) -> np.ndarray:
+    """The default start state: the uniform superposition, complex."""
+    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
 def check_dense_budget(n: int) -> None:

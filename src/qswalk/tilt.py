@@ -43,6 +43,7 @@ from .lindblad import (
     QswModel,
     Superoperator,
     _spreading_kernel,
+    _uniform_state,
     check_dense_budget,
     liouvillian,
     steady_state,
@@ -179,7 +180,8 @@ def activity_from_steady_state(model: QswModel) -> np.ndarray:
 def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
     """Exact s = 0 references from n x n problems: the index of dispersion
     delta and the start-up offset b of the counts from the unit state
-    ``psi0`` (default: uniform), E[K(t)] = alpha t + b + O(exp(-gap t)).
+    ``psi0`` (default: the uniform superposition that trajectories start
+    from), E[K(t)] = alpha t + b + O(exp(-gap t)).
 
     ``alpha`` is the stationary jump rate vector, the Perron vector pi of
     T = G M(1) (``QswModel.renewal``).  With the group inverse
@@ -203,7 +205,7 @@ def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
     ts = t @ z
     y = g @ (_spreading_kernel(v, (om ** 2 - 1.0) / (1.0 + om ** 2) ** 2) @ pi)
     delta = 1.0 + 2.0 * pi + 2.0 * ts.diagonal() + 2.0 * (y + ts @ y)
-    c = v.T @ (np.full(n, n ** -0.5) if psi0 is None else np.asarray(psi0, dtype=complex))
+    c = v.T @ (_uniform_state(n) if psi0 is None else np.asarray(psi0, dtype=complex))
     m0 = ((v @ (np.outer(c, c.conj()) / (1.0 + 1j * om))) * v).sum(axis=1).real
     delta = tuple(float(d) if abs(a) > _ACTIVITY_FLOOR else None for d, a in zip(delta, pi))
     return delta, z @ (g @ m0 + y)

@@ -155,6 +155,28 @@ def test_eig_inverse_iteration_is_real_for_a_real_leading_pair(six_node_model, m
     assert solved[-2:] == [np.dtype(complex), np.dtype(complex)]
 
 
+@pytest.mark.parametrize("lam", [0.75, -0.75, 0.5 - 0.25j])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigenvector_shift_equals_the_identity_subtraction_bitwise(lam, dtype, monkeypatch):
+    # the shift is applied to one copy's diagonal, with the bits of m - shift * I
+    m = np.arange(16.0).reshape(4, 4) - 7.5
+    m[0, 1] = m[2, 2] = -0.0  # signed zeros must survive the shift
+    m = m.astype(dtype)
+    shifted = []
+    real_solve = np.linalg.solve
+
+    def spy(a, b):
+        shifted.append(a.copy())
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    scale = np.linalg.norm(m)
+    q.linalg._eigenvector(m, lam, scale)
+    expected = m - (lam + q.linalg._SHIFT_FACTOR * scale) * np.eye(4)
+    assert shifted[0].dtype == expected.dtype
+    assert shifted[0].tobytes() == expected.tobytes()
+
+
 def test_eig_vector_on_awkward_exact_spectra():
     cases = [
         # left eigenvector (1, -2) of lambda = 1 is orthogonal to (1, 1/2)
@@ -328,6 +350,7 @@ def test_eig_general_rejects_a_wrong_eigenvector(monkeypatch):
                 (1.0, np.nan, "dt must be positive and finite"),
                 (np.inf, 0.1, "t must be non-negative and finite"),
                 (np.nan, 0.1, "t must be non-negative and finite"),
+                (1e300, 1e-300, "step count t/dt must be finite"),  # t/dt overflows
             ]
             for call in [
                 lambda t=t, dt=dt: q.integrate_linear(np.eye(2), np.ones(2), t, dt),

@@ -8,6 +8,7 @@ hand-solved fractions 100/217, 117/217, -17i/217.
 
 import math
 import pickle
+import random
 import tracemalloc
 
 import numpy as np
@@ -458,6 +459,45 @@ def test_to_hermitian_basis_rejects_non_hermiticity_preserving(rng):
         to_hermitian_basis(m)
     with pytest.raises(ValueError, match="perfect square"):
         to_hermitian_basis(np.eye(3))
+
+
+def test_hermitian_generator_equals_the_copying_conversion_bitwise(
+    two_node_graph, six_node_graph, rng
+):
+    # the cached generator is converted in place; np.array_equal alone
+    # would not see a signed zero flip
+    models = [q.build_qsw(g) for g in (two_node_graph, six_node_graph)]
+    for weight in (0.0, 1.0, 3.0):
+        models += [q.build_qsw(random_digraph(rng, n_max=9), coherent_weight=weight)
+                   for _ in range(3)]
+    h = np.array([[0.0, -1.5, 2.0], [-1.5, -0.5, -0.25], [2.0, -0.25, 0.0]])
+    amp = np.sqrt(np.array([[0.2, 0.5, 0.0], [0.3, 0.5, 0.6], [0.5, 0.0, 0.4]]))
+    models.append(q.QswModel(h, amp))
+    for model in models:
+        w, expected = model.hermitian_generator, to_hermitian_basis(q.liouvillian(model))
+        assert w.dtype == expected.dtype and w.flags.c_contiguous
+        assert w.tobytes() == expected.tobytes()  # signed zeros included
+
+
+def test_to_hermitian_basis_leaves_its_argument_unchanged(six_node_model):
+    m = q.liouvillian(six_node_model)
+    kept = m.copy()
+    to_hermitian_basis(m)
+    assert m.tobytes() == kept.tobytes()
+
+
+def test_hermitian_generator_build_needs_no_full_size_temporaries():
+    # whole-matrix row and column combinations traced 7.8x the result's size
+    n = 16
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    model = q.build_qsw(q.DirectedGraph(n=n, edges=frozenset(random.Random(1).sample(pairs, 3 * n))))
+    tracemalloc.start()
+    try:
+        w = model.hermitian_generator
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * w.nbytes
 
 
 def _complete_model(n):

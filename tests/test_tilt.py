@@ -344,6 +344,17 @@ def test_start_offset_matches_dense_integral(name):
         assert np.abs(b).max() > 1e-3  # a start state is not the steady state
 
 
+def test_default_start_offset_is_that_of_the_engines_start_state(two_node_model):
+    # simulate's reference column must describe the state the engine starts
+    # from; a real n ** -0.5 vector differs in the last bit at n = 2
+    from qswalk.trajectory import _initial_state
+
+    alpha = q.activity_from_steady_state(two_node_model)
+    start = _initial_state(two_node_model, None, 1.0, 1e-3, range(1))
+    default = q.stationary_references(two_node_model, alpha)[1]
+    assert np.array_equal(default, q.stationary_references(two_node_model, alpha, start)[1])
+
+
 def test_dispersion_six_node_regression():
     # pinned output of the frozen bundled graph at the crossover peak
     from qswalk.data import load_bundled

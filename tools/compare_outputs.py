@@ -25,7 +25,8 @@ byte by byte.
 The ``library`` case runs one more child interpreter per checkout,
 which prints the sha256 of each library route's output on the bundled
 graphs, one line per route and graph: ``free_energy``, ``activity`` and
-``dispersion`` at four tilts; ``steady_state``; ``stationary_references``;
+``dispersion`` at four tilts; the cached real generator
+``hermitian_generator``; ``steady_state``; ``stationary_references``;
 ``eig_general`` of the real Hermitian-basis generator and of the complex
 tilted one; ``null_vector`` of the renewal chain less I and of the
 Liouvillian; ``evolve`` and ``integrate_linear``; and
@@ -87,6 +88,7 @@ for graph in BUNDLED:
         ("free_energy", [q.free_energy(model, s) for s in tilts]),
         ("activity", [q.activity(model, s) for s in tilts]),
         ("dispersion", [q.dispersion(model, s) for s in tilts]),
+        ("hermitian_generator", model.hermitian_generator),
         ("steady_state", q.steady_state(model)),
         ("stationary_references",
          q.stationary_references(model, q.activity_from_steady_state(model))),
