@@ -41,6 +41,7 @@ _RESIDUAL_FACTOR = 1e-8  # eigenpair residual bound, relative to ||M||_F
 _SHIFT_FACTOR = 8.0 * np.finfo(float).eps  # inverse-iteration shift, relative to ||M||_F
 _KERNEL_TOL = 1e-9  # null_vector: |eigenvalue| counted as zero, relative to max(1, ||M||_F)
 _PAIR_BLOCK = 64  # index pairs combined at once by the Hermitian-basis conversion
+_MAX_RK4_STEPS = 10**8  # longest fixed-step RK4 run, in steps
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def _square(m) -> np.ndarray:
     return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
 
 
-def eig_general(m: ComplexMatrix) -> SpectralResult:
+def eig_general(m: ComplexMatrix, *, overwrite: bool = False) -> SpectralResult:
     """Eigendecompose a general (non-Hermitian) square matrix.
 
     Returns the full spectrum together with the leading eigenpair,
@@ -96,6 +97,15 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     solved in complex arithmetic.  The leading eigenvector alone is then
     taken by inverse iteration (:func:`_eigenvector`), in real arithmetic
     when the input and the leading eigenvalue are both real.
+
+    By default ``m`` is left as it is, and may be read-only.
+    ``overwrite=True`` lets inverse iteration shift ``m`` in its own
+    memory, after the spectrum is taken, instead of in a copy: for
+    complex ``m`` always, for real ``m`` when the leading eigenvalue is
+    real (a complex one still takes a copy).  ``m`` must then be
+    writable.  The result is the same bit for bit, but the contents of
+    the caller's array are undefined afterwards, so pass it only for a
+    scratch matrix that the caller drops.
     """
     m = _square(m)
     if not np.all(np.isfinite(m)):
@@ -103,16 +113,19 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
 
     scale = np.linalg.norm(m)  # Frobenius
     try:
-        values = np.linalg.eigvals(m)
+        values = np.linalg.eigvals(m)  # before anything is written to m
         lead = _select_leading(values)
         lam = values[lead]
         if not np.iscomplexobj(m) and lam.imag == 0:  # a real pair: solve in float64
             lam = lam.real
-        v = _eigenvector(m, lam, scale)
+        in_place = overwrite and np.result_type(m, lam) == m.dtype
+        v = _eigenvector(m, lam, scale, in_place)
     except np.linalg.LinAlgError as exc:  # QR failed to converge
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    residual = np.linalg.norm(m @ v - lam * v)
+    # ||M v - lam v||, where after an in-place shift m holds M - shift I
+    offset = lam - _shift(lam, scale) if in_place else lam
+    residual = np.linalg.norm(m @ v - offset * v)
     if scale > 0 and residual > _RESIDUAL_FACTOR * scale:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:g}*||M||_F"
@@ -124,22 +137,31 @@ def eig_general(m: ComplexMatrix) -> SpectralResult:
     )
 
 
-def _eigenvector(m: np.ndarray, lam, scale: float) -> np.ndarray:
+def _shift(lam, scale: float):
+    """Inverse-iteration shift: ``lam`` plus a few units in the last place
+    of ``scale`` = ||M||_F."""
+    return lam + _SHIFT_FACTOR * (scale or 1.0)
+
+
+def _eigenvector(m: np.ndarray, lam, scale: float, overwrite: bool = False) -> np.ndarray:
     """Unit eigenvector of ``m`` (Frobenius norm ``scale``) for its
     computed eigenvalue ``lam``.
 
     One step of inverse iteration from a fixed generic start: a solve
-    with ``m - (lam + d) I``, where the shift d of a few units in the
-    last place of ``||M||_F`` keeps the factorization regular (even for
-    an exact eigenvalue) and makes ``lam``'s eigenvector dominate the
-    others by a factor of about gap / d.  Should the shifted matrix still
-    be exactly singular, its null vector is the eigenvector.
+    with ``m - (lam + d) I``, where the shift d of :func:`_shift` keeps
+    the factorization regular (even for an exact eigenvalue) and makes
+    ``lam``'s eigenvector dominate the others by a factor of about
+    gap / d.  Should the shifted matrix still be exactly singular, its
+    null vector is the eigenvector.  ``overwrite`` forms the shifted
+    matrix in ``m`` itself, which must then be writable and of a dtype
+    that holds ``lam``.
     """
     size = m.shape[0]
-    shift = lam + _SHIFT_FACTOR * (scale or 1.0)
-    # one copy, then the diagonal: the bits (signed zeros too) and the dtype of
-    # m - shift * I, without the identity and product temporaries
-    shifted = m - shift * 0.0
+    shift = _shift(lam, scale)
+    # the bits (signed zeros too) and the dtype of m - shift * I, without the
+    # identity and product temporaries: subtract shift * 0.0 everywhere (for a
+    # negative shift that turns -0.0 into +0.0), then the shift on the diagonal
+    shifted = np.subtract(m, shift * 0.0, out=m if overwrite else None)
     shifted.flat[:: size + 1] -= shift
     try:
         # cos(1..size): no rational vector, e.g. a left eigenvector of an
@@ -247,7 +269,8 @@ def rk4_step_matrix(m: ComplexMatrix, dt: float) -> ComplexMatrix:
 def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
     """(propagator, time) of each of k = ceil(t/dt) equal RK4 steps of
     t/k <= dt from 0 to t: one propagator, times t*(j/k) ending on t, and
-    no step for t = 0.  t, dt and t/dt are checked here, when it is called."""
+    no step for t = 0.  t, dt and the step count are checked here, when it
+    is called: more than 1e8 steps raises ``ValueError``."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 <= t < math.inf:
@@ -255,6 +278,8 @@ def _rk4_steps(m: ComplexMatrix, t: float, dt: float):
     if not t / dt < math.inf:
         raise ValueError("the step count t/dt must be finite")
     k = math.ceil(t / dt)
+    if k > _MAX_RK4_STEPS:
+        raise ValueError(f"the step count t/dt = {k} exceeds {_MAX_RK4_STEPS} RK4 steps")
     p = rk4_step_matrix(m, t / k) if k else None
     return ((p, t * (j / k)) for j in range(1, k + 1))
 

@@ -61,7 +61,8 @@ _STEADY_RESIDUAL_TOL = 1e-8
 # Largest model whose dense n^2 x n^2 superoperators are assembled.  At 64
 # nodes the complex Liouvillian takes 256 MiB and the cached real generator
 # 128 MiB; building the latter peaks at 388 MB traced (424 MB RSS), and one
-# free_energy on it at 574 MB RSS (tools/bench_dense.py).
+# free_energy on it (which holds three generator-sized arrays) at 446 MB
+# RSS (tools/bench_dense.py).
 DENSE_NODE_LIMIT = 64
 
 
@@ -168,9 +169,17 @@ def build_qsw(
     return QswModel(h, np.sqrt(google_matrix(g, damping)))
 
 
-def _uniform_state(n: int) -> np.ndarray:
-    """The default start state: the uniform superposition, complex."""
-    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+def _start_state(n: int, psi0=None) -> np.ndarray:
+    """Complex unit start state of an n-node walk: the uniform superposition
+    by default, else a copy of ``psi0`` once its shape and norm are checked."""
+    if psi0 is None:
+        return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.shape != (n,):
+        raise ValueError(f"psi0 must have shape ({n},)")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError("psi0 must be normalized")
+    return psi
 
 
 def check_dense_budget(n: int) -> None:

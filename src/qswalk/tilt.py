@@ -43,7 +43,7 @@ from .lindblad import (
     QswModel,
     Superoperator,
     _spreading_kernel,
-    _uniform_state,
+    _start_state,
     check_dense_budget,
     liouvillian,
     steady_state,
@@ -122,7 +122,7 @@ def free_energy(model: QswModel, s) -> float:
     """
     s = _as_tilt(model, s)
     w = tilt_recycling(model.hermitian_generator.copy(), model, np.exp(-s)[:, None])
-    res = eig_general(w)
+    res = eig_general(w, overwrite=True)  # w is this call's own copy
     theta = res.leading_eigenvalue.real
     gap = np.abs(res.full_spectrum - res.leading_eigenvalue)
     fold = np.count_nonzero(gap <= _DEGENERACY_TOL * max(1.0, abs(theta)))
@@ -192,10 +192,13 @@ def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
     and b = Z (G m0 + y), where G m0 is the law of the first jump:
     m0_j = Re sum_ab V_ja c_a V_jb conj(c_b) / (1 + i (lam_a - lam_b)) for
     c = V^T psi0.  Entries of delta where the activity is below 1e-12 are
-    None, as in :func:`dispersion`.  Returns ``(delta, b)``.
+    None, as in :func:`dispersion`.  Returns ``(delta, b)``.  A ``psi0``
+    that ``simulate`` refuses (wrong shape, not normalized) raises
+    the same ``ValueError`` here.
     """
     pi = np.asarray(alpha, dtype=float)
     n = model.n
+    psi = _start_state(n, psi0)
     g = model.rates
     lam, v = model.eigenbasis
     om = np.subtract.outer(lam, lam)
@@ -205,7 +208,7 @@ def stationary_references(model: QswModel, alpha, psi0=None) -> tuple:
     ts = t @ z
     y = g @ (_spreading_kernel(v, (om ** 2 - 1.0) / (1.0 + om ** 2) ** 2) @ pi)
     delta = 1.0 + 2.0 * pi + 2.0 * ts.diagonal() + 2.0 * (y + ts @ y)
-    c = v.T @ (_uniform_state(n) if psi0 is None else np.asarray(psi0, dtype=complex))
+    c = v.T @ psi
     m0 = ((v @ (np.outer(c, c.conj()) / (1.0 + 1j * om))) * v).sum(axis=1).real
     delta = tuple(float(d) if abs(a) > _ACTIVITY_FLOOR else None for d, a in zip(delta, pi))
     return delta, z @ (g @ m0 + y)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .jumps import run_lanes
-from .lindblad import QswModel, _uniform_state
+from .lindblad import QswModel, _start_state
 from .linalg import _rk4_steps, eig_general
 from .tilt import _fan_out, tilted_superoperator
 
@@ -69,14 +69,7 @@ def _initial_state(model: QswModel, psi0, t_max: float, dt: float, seeds: range)
         raise ValueError("t_max must be positive and finite, dt positive")
     if not 0 <= seeds[0] <= seeds[-1] < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if psi0 is None:
-        return _uniform_state(model.n)
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (model.n,):
-        raise ValueError(f"psi0 must have shape ({model.n},)")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("psi0 must be normalized")
-    return psi
+    return _start_state(model.n, psi0)
 
 
 def simulate(

@@ -32,12 +32,20 @@ def two_node_classical(two_node_graph):
     return q.build_qsw(two_node_graph, coherent_weight=0.0)
 
 
-@pytest.fixture(scope="session")
-def random64_model():
-    # 64 nodes and 3n distinct edges, drawn as perfbench draws its dense graph
-    n = 64
+def _random_model(n):
+    # n nodes and 3n distinct edges, drawn as perfbench draws its dense graph
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return q.build_qsw(q.DirectedGraph(n=n, edges=frozenset(random.Random(1).sample(pairs, 3 * n))))
+
+
+@pytest.fixture(scope="session")
+def random16_model():
+    return _random_model(16)
+
+
+@pytest.fixture(scope="session")
+def random64_model():
+    return _random_model(64)
 
 
 @pytest.fixture(scope="session")

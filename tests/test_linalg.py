@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qswalk as q
+from qswalk.lindblad import tilt_recycling
 from oracles import expm_propagate, leading_eigenvalue_scipy
 
 
@@ -325,8 +326,62 @@ def test_eigensolver_failure_is_a_convergence_error(solver, call, monkeypatch):
         call()
 
 
+def _same_bits(a, b):
+    """Whether two SpectralResults agree bit for bit."""
+    return (
+        a.leading_eigenvalue == b.leading_eigenvalue
+        and a.full_spectrum.tobytes() == b.full_spectrum.tobytes()
+        and a.leading_right_eigenvector.dtype == b.leading_right_eigenvector.dtype
+        and a.leading_right_eigenvector.tobytes() == b.leading_right_eigenvector.tobytes()
+    )
+
+
+@pytest.mark.parametrize("name", ["six_node_model", "random16_model"])
+def test_eig_overwrite_matches_the_copy_bit_for_bit(name, request):
+    model = request.getfixturevalue(name)
+    n = model.n
+    for s in (np.full(n, 0.5), np.full(n, -2.0), np.linspace(-1.0, 3.0, n)):
+        factors = np.exp(-s)[:, None]
+        for m in (
+            tilt_recycling(model.hermitian_generator.copy(), model, factors),  # real
+            q.tilted_superoperator(model, s),  # complex
+        ):
+            scratch = m.copy()
+            res = q.eig_general(scratch, overwrite=True)
+            assert _same_bits(res, q.eig_general(m))
+            assert not np.array_equal(scratch, m)  # the shift was formed in place
+
+
+def test_eig_overwrite_keeps_the_signed_zeros_of_the_copy():
+    # leading eigenvalue -1: the shift is negative and -0.0 - (-0.0) is +0.0
+    m = np.array([[-1.0, 0.5, -0.0], [-0.0, -2.0, 0.25], [-0.0, -0.0, -3.0]])
+    scratch = m.copy()
+    res = q.eig_general(scratch, overwrite=True)
+    assert _same_bits(res, q.eig_general(m))
+    assert res.leading_eigenvalue == -1.0
+    assert not np.signbit(scratch[np.tril_indices(3, -1)]).any()
+
+
+def test_eig_overwrite_copies_for_a_complex_leading_pair_of_a_real_matrix():
+    # 1 +- 2j lead: the real matrix cannot hold the complex shift
+    m = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    scratch = m.copy()
+    res = q.eig_general(scratch, overwrite=True)
+    assert_allclose(res.leading_eigenvalue, 1.0 + 2.0j, atol=1e-12)
+    assert _same_bits(res, q.eig_general(m))
+    assert np.array_equal(scratch, m)
+
+
+def test_eig_general_leaves_its_argument_alone_by_default(six_node_model):
+    m = six_node_model.hermitian_generator
+    assert not m.flags.writeable  # the model's cache is read-only
+    snapshot = m.copy()
+    q.eig_general(m)
+    assert np.array_equal(m, snapshot)
+
+
 def test_eig_general_rejects_a_wrong_eigenvector(monkeypatch):
-    monkeypatch.setattr("qswalk.linalg._eigenvector", lambda m, lam, scale: np.array([1.0, 0.0]))
+    monkeypatch.setattr("qswalk.linalg._eigenvector", lambda m, lam, scale, overwrite: np.array([1.0, 0.0]))
     with pytest.raises(q.ConvergenceError, match="residual"):
         q.eig_general(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
@@ -351,6 +406,7 @@ def test_eig_general_rejects_a_wrong_eigenvector(monkeypatch):
                 (np.inf, 0.1, "t must be non-negative and finite"),
                 (np.nan, 0.1, "t must be non-negative and finite"),
                 (1e300, 1e-300, "step count t/dt must be finite"),  # t/dt overflows
+                (1e12, 1.0, "step count t/dt = 1000000000000 exceeds"),  # 1e12 RK4 steps
             ]
             for call in [
                 lambda t=t, dt=dt: q.integrate_linear(np.eye(2), np.ones(2), t, dt),

@@ -8,6 +8,8 @@ coherent weight, total activity is exp(-sigma), and both limit
 generators have closed-form leading behavior.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -355,6 +357,21 @@ def test_default_start_offset_is_that_of_the_engines_start_state(two_node_model)
     assert np.array_equal(default, q.stationary_references(two_node_model, alpha, start)[1])
 
 
+@pytest.mark.parametrize(
+    "psi0, message",
+    [
+        (np.array([1.0, 1.0]), "psi0 must be normalized"),
+        (np.array([1.0, 0.0, 0.0]), r"psi0 must have shape \(2,\)"),
+    ],
+)
+def test_start_offset_refuses_the_start_states_that_simulate_refuses(two_node_model, psi0, message):
+    alpha = q.activity_from_steady_state(two_node_model)
+    with pytest.raises(ValueError, match=message):
+        q.simulate(two_node_model, psi0=psi0)
+    with pytest.raises(ValueError, match=message):
+        q.stationary_references(two_node_model, alpha, psi0)
+
+
 def test_dispersion_six_node_regression():
     # pinned output of the frozen bundled graph at the crossover peak
     from qswalk.data import load_bundled
@@ -474,12 +491,29 @@ def test_free_energy_is_repeatable_and_leaves_the_cache_alone(six_node_graph):
     assert np.array_equal(base, snapshot)
 
 
+def test_free_energy_traces_less_than_two_generators(random16_model):
+    # the tilted copy is the only generator-sized array free_energy makes
+    # (tracemalloc does not see LAPACK's work copies): inverse iteration
+    # shifts it in place rather than shifting a second copy
+    model = random16_model
+    nbytes = model.hermitian_generator.nbytes
+    s = q.uniform_tilt(model, 0.5)
+    q.free_energy(model, s)  # warm numpy's and LAPACK's first-call state
+    tracemalloc.start()
+    try:
+        q.free_energy(model, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * nbytes
+
+
 def test_free_energy_makes_one_real_eigensolve(six_node_model, monkeypatch):
     calls = []
 
-    def spy(m):
+    def spy(m, **options):
         calls.append(m.dtype)
-        return q.eig_general(m)
+        return q.eig_general(m, **options)
 
     monkeypatch.setattr("qswalk.tilt.eig_general", spy)
     q.free_energy(six_node_model, np.linspace(-1.0, 1.0, 6))
@@ -491,9 +525,9 @@ def test_eigensolves_per_point_and_per_self_checked_activity(six_node_model, mon
     # step-halving check adds the 2n points at h/2, not a second centre
     calls = []
 
-    def spy(m):
+    def spy(m, **options):
         calls.append(m.shape)
-        return q.eig_general(m)
+        return q.eig_general(m, **options)
 
     monkeypatch.setattr("qswalk.tilt.eig_general", spy)
     n = six_node_model.n

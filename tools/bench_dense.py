@@ -26,8 +26,8 @@ the process's peak RSS (``ru_maxrss``) at the end of the stage, so the
 ``import_rss_mb`` is the peak RSS before the build.  The result goes to
 ``BENCH_dense_<label>.json`` in ``--out`` (default: the checkout root)
 with every run, the per-n medians, the core count and the BLAS thread
-count.  One 64-node ``free_energy`` takes about 25 s and 0.6 GB, so
-``--n 64`` is for local runs.  It uses numpy and the standard library
+count.  One 64-node ``free_energy`` takes 25-32 s and about 0.45 GB
+(2 cores, one BLAS thread), so ``--n 64`` is for local runs.  It uses numpy and the standard library
 only, and imports qswalk from the checkout's ``src``.
 """
 
